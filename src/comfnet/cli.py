@@ -13,14 +13,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus as corpus_mod
-from .criteria import as_fraction, check_hc
+from .criteria import check_hc, parse_l
 from .generators import connected_gnp, generate
 from .graphs import (
     EdgeListParseError,
@@ -46,28 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_INTERNAL = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized invocation: one input source, exact rational l, seed."""
-
-    command: str
-    source: str | None
-    l: Fraction | None
-    seed: int
-    output_format: str
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        l_text = getattr(args, "l", None)
-        return cls(
-            command=args.command,
-            source=getattr(args, "graph", None),
-            l=_parse_l(l_text) if l_text is not None else None,
-            seed=getattr(args, "seed", 0),
-            output_format=getattr(args, "format", "json"),
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,16 +96,6 @@ def _read_team(path: str, g: Graph) -> frozenset[int]:
     return frozenset(members)
 
 
-def _parse_l(text: str) -> Fraction:
-    try:
-        frac = as_fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse l={text!r} as a rational") from None
-    if frac <= 1:
-        raise ValueError(f"reduction factor l must be > 1, got {frac}")
-    return frac
-
-
 def _component_graphs(g: Graph):
     """Induced subgraph per component, labels preserved."""
     return [induced_subgraph(g, part) for part in connected_components(g)]
@@ -136,7 +103,7 @@ def _component_graphs(g: Graph):
 
 # --- commands ---------------------------------------------------------------
 
-def cmd_analyze(args, config: RunConfig) -> int:
+def cmd_analyze(args, l: Fraction | None) -> int:
     g = _load_graph(args.graph)
     entries = []
     for sub, hosts, _ in _component_graphs(g):
@@ -153,14 +120,14 @@ def cmd_analyze(args, config: RunConfig) -> int:
         "connected": len(entries) == 1,
         "components": entries,
     }
-    if config.output_format == "text":
+    if args.format == "text":
         for i, entry in enumerate(payload["components"]):
             print(
                 f"component {i}: n={len(entry['vertices'])} radius={entry['radius']} "
                 f"diameter={entry['diameter']} class={entry['class']} "
                 f"center={','.join(entry['center'])}"
             )
-    elif config.output_format == "dot":
+    elif args.format == "dot":
         sys.stdout.write(to_dot(g))
     else:
         _emit(payload)
@@ -185,10 +152,10 @@ def _hicom_payload(sub: Graph, args, l: Fraction) -> dict:
     return payload
 
 
-def cmd_hicom(args, config: RunConfig) -> int:
+def cmd_hicom(args, l: Fraction | None) -> int:
     g = _load_graph(args.graph)
     if g.is_connected():
-        _emit(_hicom_payload(g, args, config.l))
+        _emit(_hicom_payload(g, args, l))
         return EXIT_OK
     # top-level decomposition: the run applies to each component
     entries = []
@@ -196,7 +163,7 @@ def cmd_hicom(args, config: RunConfig) -> int:
     for sub, hosts, _ in _component_graphs(g):
         entry = {"vertices": [g.labels[v] for v in hosts]}
         try:
-            entry["result"] = _hicom_payload(sub, args, config.l)
+            entry["result"] = _hicom_payload(sub, args, l)
             successes += 1
         except (HicomError, ValueError) as exc:
             entry["error"] = str(exc)
@@ -205,7 +172,7 @@ def cmd_hicom(args, config: RunConfig) -> int:
     return EXIT_OK if successes else EXIT_INFEASIBLE
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args, l: Fraction | None) -> int:
     g = _load_graph(args.graph)
     members = _read_team(args.team, g)
     if not g.is_connected():
@@ -219,61 +186,42 @@ def cmd_verify(args, config: RunConfig) -> int:
             return _emit_error(
                 "infeasible", "team spans multiple components", EXIT_INFEASIBLE
             )
-    report = check_hc(g, members, config.l)
+    report = check_hc(g, members, l)
     _emit(report.to_json_dict(g.labels))
     return EXIT_OK if report.verdict != "none" else EXIT_INFEASIBLE
 
 
-def cmd_oracle_min(args, config: RunConfig) -> int:
-    g = _load_graph(args.graph)
-    l = config.l if args.kind in ("bc", "hc") else None
-    entries = []
-    found = 0
-    for sub, hosts, _ in _component_graphs(g):
-        answer = exact_min_team(sub, args.kind, l, cap=args.cap)
-        found += answer.optimum is not None
-        entries.append(
-            {"vertices": [g.labels[v] for v in hosts], **answer.to_json_dict(sub.labels)}
-        )
-    if len(entries) == 1:
-        _emit(entries[0])
-    else:
-        _emit({"connected": False, "components": entries})
-    return EXIT_OK if found == len(entries) else EXIT_INFEASIBLE
-
-
-def cmd_oracle_max(args, config: RunConfig) -> int:
+def _oracle_per_component(args, solve) -> int:
+    """Emit ``solve(component)`` for each component; exit 2 unless every
+    component has an optimum."""
     g = _load_graph(args.graph)
     entries = []
     found = 0
     for sub, hosts, _ in _component_graphs(g):
-        answer = exact_max_team(sub, config.l, cap=args.cap)
+        answer = solve(sub)
         found += answer.optimum is not None
-        entries.append(
-            {"vertices": [g.labels[v] for v in hosts], **answer.to_json_dict(sub.labels)}
-        )
-    if len(entries) == 1:
-        _emit(entries[0])
-    else:
-        _emit({"connected": False, "components": entries})
-    return EXIT_OK if found == len(entries) else EXIT_INFEASIBLE
-
-
-def cmd_oracle_cds(args, config: RunConfig) -> int:
-    g = _load_graph(args.graph)
-    entries = []
-    for sub, hosts, _ in _component_graphs(g):
-        answer = exact_min_cds(sub, cap=args.cap)
         entries.append(
             {"vertices": [g.labels[v] for v in hosts], **answer.to_json_dict(sub.labels)}
         )
     _emit(entries[0] if len(entries) == 1 else {"connected": False, "components": entries})
-    return EXIT_OK
+    return EXIT_OK if found == len(entries) else EXIT_INFEASIBLE
 
 
-def cmd_oracle_ratio(args, config: RunConfig) -> int:
+def cmd_oracle_min(args, l: Fraction | None) -> int:
+    return _oracle_per_component(args, lambda sub: exact_min_team(sub, args.kind, l, cap=args.cap))
+
+
+def cmd_oracle_max(args, l: Fraction | None) -> int:
+    return _oracle_per_component(args, lambda sub: exact_max_team(sub, l, cap=args.cap))
+
+
+def cmd_oracle_cds(args, l: Fraction | None) -> int:
+    return _oracle_per_component(args, lambda sub: exact_min_cds(sub, cap=args.cap))
+
+
+def cmd_oracle_ratio(args, l: Fraction | None) -> int:
     graphs = corpus_mod.parse_corpus_spec(args.corpus)
-    records, summary, skipped = ratio_experiment(graphs, config.l, cap=args.cap)
+    records, summary, skipped = ratio_experiment(graphs, l, cap=args.cap)
     _emit(
         {
             "l": args.l,
@@ -285,9 +233,9 @@ def cmd_oracle_ratio(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_bounds(args, config: RunConfig) -> int:
+def cmd_oracle_bounds(args, l: Fraction | None) -> int:
     graphs = corpus_mod.parse_corpus_spec(args.corpus)
-    checks, skipped = bound_sweep(graphs, config.l, cap=args.cap)
+    checks, skipped = bound_sweep(graphs, l, cap=args.cap)
     _emit(
         {
             "l": args.l,
@@ -299,12 +247,12 @@ def cmd_oracle_bounds(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gen(args, config: RunConfig) -> int:
+def cmd_gen(args, l: Fraction | None) -> int:
     g = generate(
         args.kind,
         args.n,
         p=args.p,
-        seed=config.seed,
+        seed=args.seed,
         require_connected=args.connected,
     )
     text = f"# connected: {str(g.is_connected()).lower()}\n" + serialize_edge_list(g)
@@ -324,18 +272,18 @@ def _time_best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-def cmd_bench(args, config: RunConfig) -> int:
+def cmd_bench(args, l: Fraction | None) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes:
         raise ValueError("bench needs at least one size")
     runs = []
     for n in sizes:
         p = 2.5 * math.log(n) / n if args.p is None else args.p
-        g = connected_gnp(n, p, seed=config.seed)
+        g = connected_gnp(n, p, seed=args.seed)
         apsp_seconds = _time_best_of(lambda: all_pairs_distances(g))
-        fresh = Graph(g.n, g.edges)  # cold distance cache: timing covers BFS too
+        g.distances()  # warm the cache: apsp_seconds already counts the BFS
         begin = time.perf_counter()
-        hicom(fresh, config.l)
+        hicom(g, l)
         hicom_seconds = time.perf_counter() - begin
         runs.append(
             {
@@ -354,7 +302,7 @@ def cmd_bench(args, config: RunConfig) -> int:
             slopes[key.replace("_seconds", "")] = float(
                 np.polyfit(logs, np.log([max(run[key], 1e-9) for run in runs]), 1)[0]
             )
-    _emit({"l": args.l, "seed": config.seed, "runs": runs, "slopes": slopes})
+    _emit({"l": args.l, "seed": args.seed, "runs": runs, "slopes": slopes})
     return EXIT_OK
 
 
@@ -443,8 +391,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig.from_args(args)
-        return args.func(args, config)
+        l = parse_l(args.l) if getattr(args, "l", None) is not None else None
+        return args.func(args, l)
     except EdgeListParseError as exc:
         return _emit_error("parse", str(exc), EXIT_USAGE)
     except HicomError as exc:

@@ -9,14 +9,11 @@ values like 3/2 and 1.6 sit exactly where rounding flips the target.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
-from .graphs import Graph, UNREACHABLE, eccentricity_profile
+from .graphs import Graph, UNREACHABLE, bfs, eccentricity_profile
 
 
 @dataclass(frozen=True)
@@ -103,8 +100,12 @@ def as_fraction(l) -> Fraction:
     return Fraction(str(l))
 
 
-def _require_l(l) -> Fraction:
-    frac = as_fraction(l)
+def parse_l(l) -> Fraction:
+    """The reduction factor as an exact rational; ValueError unless l > 1."""
+    try:
+        frac = as_fraction(l)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse l={l!r} as a rational") from None
     if frac <= 1:
         raise ValueError(f"reduction factor l must be > 1, got {frac}")
     return frac
@@ -124,30 +125,22 @@ def _member_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
 def induced_metrics(g: Graph, members: frozenset[int]):
     """(connected, induced diameter, per-member induced eccentricity).
 
-    BFS restricted to the member set; eccentricities are UNREACHABLE when
-    some teammate cannot be reached inside the team.
+    BFS over the adjacency restricted once to the member set, since every
+    member is a source; eccentricities are UNREACHABLE when some teammate
+    cannot be reached inside the team.
     """
-    order = sorted(members)
-    adj_sub = {v: [w for w in g.adj[v] if w in members] for v in order}
+    adj_sub = {v: [w for w in g.adj[v] if w in members] for v in members}
     ecc: dict[int, int] = {}
     diameter = 0
     connected = True
-    for src in order:
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for w in adj_sub[u]:
-                if w not in dist:
-                    dist[w] = du + 1
-                    queue.append(w)
-        if len(dist) < len(members):
+    for src in sorted(members):
+        levels, order = bfs(adj_sub, (src,), g.n)
+        if len(order) < len(members):
             connected = False
             ecc[src] = UNREACHABLE
             diameter = UNREACHABLE
         else:
-            e = max(dist.values())
+            e = levels[order[-1]]
             ecc[src] = e
             diameter = max(diameter, e)
     return connected, diameter, ecc
@@ -160,7 +153,7 @@ class SubsetEvaluator:
     def __init__(self, g: Graph):
         self.g = g
         self.dist = g.distances().tolist()
-        self.ecc = [max(row) for row in self.dist]
+        self.ecc = eccentricity_profile(g).eccentricity
         self.adj = [tuple(nbrs) for nbrs in g.adj]
         self.n = g.n
 
@@ -171,18 +164,10 @@ class SubsetEvaluator:
         diameter = 0
         less = True
         for src in subset:
-            dist = {src: 0}
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                du = dist[u]
-                for w in self.adj[u]:
-                    if w in members and w not in dist:
-                        dist[w] = du + 1
-                        queue.append(w)
-            if len(dist) < len(members):
+            levels, order = bfs(self.adj, (src,), self.n, members)
+            if len(order) < len(members):
                 return False, UNREACHABLE, False, None
-            e = max(dist.values())
+            e = levels[order[-1]]
             if e >= self.ecc[src]:
                 less = False
             if e > diameter:
@@ -199,7 +184,7 @@ class SubsetEvaluator:
 
 def bc_target(g: Graph, l) -> int:
     """The induced-diameter ceiling ceil(diam(G)/l), computed exactly."""
-    frac = _require_l(l)
+    frac = parse_l(l)
     diam = eccentricity_profile(g).diameter
     return math.ceil(Fraction(diam) / frac)
 
@@ -210,12 +195,8 @@ def domination_radius(g: Graph, members: Iterable[int] | TeamCandidate) -> int:
     team = _member_set(g, members)
     if not g.is_connected():
         raise ValueError("domination radius requires a connected graph")
-    outside = sorted(set(range(g.n)) - team)
-    if not outside:
-        return 0
-    dist = g.distances()
-    block = dist[np.ix_(outside, sorted(team))]
-    return int(block.min(axis=1).max())
+    levels, order = bfs(g.adj, team, g.n)
+    return levels[order[-1]]
 
 
 def is_dominating(g: Graph, members: Iterable[int] | TeamCandidate, k: int) -> bool:
@@ -237,9 +218,9 @@ def is_less_dispersive(
     team = _member_set(g, members)
     if not g.is_connected():
         raise ValueError("less-dispersiveness requires a connected host graph")
-    host_ecc = g.distances().max(axis=1)
+    host_ecc = eccentricity_profile(g).eccentricity
     _, _, ind_ecc = induced_metrics(g, team)
-    violators = tuple(v for v in sorted(team) if ind_ecc[v] >= int(host_ecc[v]))
+    violators = tuple(v for v in sorted(team) if ind_ecc[v] >= host_ecc[v])
     return not violators, violators
 
 
@@ -249,18 +230,18 @@ def check_hc(g: Graph, members: Iterable[int] | TeamCandidate, l) -> TeamReport:
     A disconnected team short-circuits: the BC and HC flags are false and
     the induced diameter is the UNREACHABLE sentinel.
     """
-    frac = _require_l(l)
+    frac = parse_l(l)
     team = _member_set(g, members)
     if not g.is_connected():
         raise ValueError("team checks require a connected host graph")
 
     connected, ind_diam, ind_ecc = induced_metrics(g, team)
-    host_ecc = g.distances().max(axis=1)
-    violators = tuple(v for v in sorted(team) if ind_ecc[v] >= int(host_ecc[v]))
+    host_ecc = eccentricity_profile(g).eccentricity
+    violators = tuple(v for v in sorted(team) if ind_ecc[v] >= host_ecc[v])
     less_disp = not violators
 
     k = domination_radius(g, team)
-    target = math.ceil(Fraction(int(host_ecc.max())) / frac)
+    target = bc_target(g, frac)
     bc_cond = connected and ind_diam <= target
     hc_cond = connected and k <= ind_diam
 

@@ -2,18 +2,18 @@
 
 Vertices are dense 0-based indices. Human-facing labels (``v1`` .. ``vn``
 by default) live in a sidecar tuple on the graph and never enter the
-algorithms. Distances are hop counts computed by breadth-first search and
-cached per graph as an ``n x n`` numpy matrix; ``UNREACHABLE`` marks pairs
-in different components and is strictly larger than any real hop count, so
-max/min aggregations stay well defined on disconnected vertex sets.
+algorithms. Every hop count comes from one breadth-first kernel, ``bfs``.
+Each graph caches its all-pairs distances as an ``n x n`` numpy matrix and
+its eccentricity profile; ``UNREACHABLE`` marks pairs in different
+components and is strictly larger than any real hop count, so max/min
+aggregations stay well defined on disconnected vertex sets.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,12 +34,12 @@ class Graph:
     """Simple undirected graph on vertices ``0 .. n-1``.
 
     Instances are immutable after construction and safe to share across
-    threads. The all-pairs distance matrix is computed lazily and cached;
-    recomputation is deterministic, so a benign double-compute under
-    concurrency cannot change the result.
+    threads. The all-pairs distance matrix and the eccentricity profile are
+    computed lazily and cached; recomputation is deterministic, so a benign
+    double-compute under concurrency cannot change the result.
     """
 
-    __slots__ = ("n", "edges", "adj", "labels", "_dist", "_connected")
+    __slots__ = ("n", "edges", "adj", "labels", "_dist", "_profile", "_connected")
 
     def __init__(
         self,
@@ -71,6 +71,7 @@ class Graph:
                 raise ValueError("labels must be distinct and cover every vertex")
             self.labels = label_tuple
         self._dist: np.ndarray | None = None
+        self._profile: EccentricityProfile | None = None
         self._connected: bool | None = None
 
     @property
@@ -92,8 +93,8 @@ class Graph:
 
     def is_connected(self) -> bool:
         if self._connected is None:
-            seen = _bfs_reach(self.adj, 0)
-            self._connected = len(seen) == self.n
+            _, reached = bfs(self.adj, (0,), self.n)
+            self._connected = len(reached) == self.n
         return self._connected
 
     def distances(self) -> DistanceMatrix:
@@ -148,37 +149,43 @@ class EccentricityProfile:
         }
 
 
-def _bfs_reach(adj: Sequence[Sequence[int]], source: int) -> set[int]:
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+def bfs(
+    adj: Sequence[Sequence[int]],
+    sources: Iterable[int],
+    n: int,
+    within: AbstractSet[int] | None = None,
+) -> tuple[list[int], list[int]]:
+    """Hop levels from the nearest of ``sources``: the one BFS kernel.
 
-
-def _bfs_levels(adj: Sequence[Sequence[int]], source: int, n: int) -> list[int]:
-    dist = [UNREACHABLE] * n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
+    ``adj[u]`` lists the neighbours of ``u``; a dict over a vertex subset
+    serves as well. Returns ``(levels, order)``. ``levels`` has one entry
+    per vertex, ``UNREACHABLE`` where the search never arrived; ``order``
+    lists the reached vertices in visit order, so ``levels[order[-1]]`` is
+    the deepest level and ``len(order)`` counts them. With ``within`` the
+    search stays inside that vertex set (its induced subgraph), which must
+    hold the sources.
+    """
+    unreached = UNREACHABLE  # a local: the edge loop reads it once per edge
+    levels = [unreached] * n
+    order = []
+    for s in sources:
+        if levels[s] == unreached:
+            levels[s] = 0
+            order.append(s)
+    for u in order:  # order grows while it is walked: it is the queue
+        nxt = levels[u] + 1
         for w in adj[u]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
+            if (within is None or w in within) and levels[w] == unreached:
+                levels[w] = nxt
+                order.append(w)
+    return levels, order
 
 
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Hop distances from ``source``; ``UNREACHABLE`` for other components."""
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range for n={g.n}")
-    return np.array(_bfs_levels(g.adj, source, g.n), dtype=np.int64)
+    return np.array(bfs(g.adj, (source,), g.n)[0], dtype=np.int64)
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
@@ -187,16 +194,19 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     Sequential and deterministic; per-source runs are independent, so the
     matrix is bit-identical however the rows are scheduled.
     """
-    rows = [_bfs_levels(g.adj, s, g.n) for s in range(g.n)]
+    rows = [bfs(g.adj, (s,), g.n)[0] for s in range(g.n)]
     return np.array(rows, dtype=np.int64)
 
 
 def eccentricity_profile(g: Graph) -> EccentricityProfile:
-    """Eccentricities, radius, diameter, center, periphery, class label.
+    """Eccentricities, radius, diameter, center, periphery, class label;
+    computed once per graph and cached.
 
     Raises on disconnected input: callers must decompose into components
     first (see ``connected_components``).
     """
+    if g._profile is not None:
+        return g._profile
     dist = g.distances()
     if (dist >= UNREACHABLE).any():
         raise ValueError("graph is disconnected; analyze each component separately")
@@ -212,7 +222,7 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
         label = "tri-eccentric"
     else:
         label = f"{a + 1}-eccentric"
-    return EccentricityProfile(
+    g._profile = EccentricityProfile(
         eccentricity=tuple(int(e) for e in ecc),
         radius=radius,
         diameter=diameter,
@@ -220,6 +230,7 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
         periphery=tuple(int(v) for v in np.flatnonzero(ecc == diameter)),
         class_label=label,
     )
+    return g._profile
 
 
 def shell(g: Graph, v: int, j: int) -> frozenset[int]:
@@ -266,15 +277,14 @@ def graph_power(g: Graph, k: int) -> Graph:
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Partition of the vertex set; a single part iff the graph is connected."""
-    remaining = set(range(g.n))
+    seen: set[int] = set()
     parts = []
-    while remaining:
-        start = min(remaining)
-        part = frozenset(_bfs_reach(g.adj, start) & remaining)
-        # BFS from a remaining vertex cannot leave its component
-        parts.append(part)
-        remaining -= part
-    return sorted(parts, key=min)
+    for start in range(g.n):
+        if start not in seen:
+            part = frozenset(bfs(g.adj, (start,), g.n)[1])
+            parts.append(part)
+            seen |= part
+    return parts
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -23,11 +22,13 @@ from .criteria import (
     TeamCandidate,
     TeamReport,
     as_fraction,
+    bc_target,
     check_hc,
     domination_radius,
     induced_metrics,
+    parse_l,
 )
-from .graphs import Graph, eccentricity_profile, graph_digest
+from .graphs import Graph, bfs, eccentricity_profile, graph_digest
 
 
 class HicomError(Exception):
@@ -66,7 +67,7 @@ class HcParams:
     def for_graph(cls, g: Graph, l, start: int | None = None, allow_large_l: bool = False):
         frac = _validate_l(l, allow_large_l)
         diam = eccentricity_profile(g).diameter
-        d1 = math.ceil(Fraction(diam) / frac)
+        d1 = bc_target(g, frac)
         if d1 < 1 or d1 >= diam:
             raise DegenerateParams(
                 f"degenerate params: d1={d1} with diam(G)={diam} requests no reduction"
@@ -153,9 +154,7 @@ class HicomResult:
 
 
 def _validate_l(l, allow_large_l: bool) -> Fraction:
-    frac = as_fraction(l)
-    if frac <= 1:
-        raise ValueError(f"reduction factor l must be > 1, got {frac}")
+    frac = parse_l(l)
     if frac > 2 and not allow_large_l:
         raise ValueError(
             f"l={frac} > 2 shrinks teams sharply and often leaves none; "
@@ -197,18 +196,10 @@ def extend_step(g: Graph, v: int, members: frozenset[int], i: int, d1: int) -> i
     best_ecc = -1
     for u in shell_i:
         grown = members | {u}
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            dw = dist[w]
-            for nbr in g.adj[w]:
-                if nbr in grown and nbr not in dist:
-                    dist[nbr] = dw + 1
-                    queue.append(nbr)
-        if len(dist) < len(grown):
+        levels, order = bfs(g.adj, (u,), g.n, grown)
+        if len(order) < len(grown):
             continue  # u does not attach to the team
-        new_ecc = max(dist.values())
+        new_ecc = levels[order[-1]]
         if new_ecc > d1:
             continue
         if new_ecc > best_ecc:
@@ -230,10 +221,10 @@ def _greedy_repair(g: Graph, current: frozenset[int], d1: int) -> frozenset[int]
     by how many violators remain, then by index. Removals are not limited
     to the violators themselves: shedding a violator's far teammate is
     often what lowers its eccentricity."""
-    host_ecc = g.distances().max(axis=1)
+    host_ecc = eccentricity_profile(g).eccentricity
     for _ in range(len(current)):
         _, _, ind_ecc = induced_metrics(g, current)
-        violators = [v for v in sorted(current) if ind_ecc[v] >= int(host_ecc[v])]
+        violators = [v for v in sorted(current) if ind_ecc[v] >= host_ecc[v]]
         if not violators:
             return current
         if len(current) == 1:
@@ -258,7 +249,7 @@ def _greedy_repair(g: Graph, current: frozenset[int], d1: int) -> frozenset[int]
             k_after = domination_radius(g, shrunk)
             if k_after > diam_after:
                 continue
-            viol_after = sum(1 for w in shrunk if ecc_after[w] >= int(host_ecc[w]))
+            viol_after = sum(1 for w in shrunk if ecc_after[w] >= host_ecc[w])
             key = (k_after, viol_after, v)
             if best is None or key < best[0]:
                 best = (key, shrunk)
@@ -476,9 +467,8 @@ def _attempt(g: Graph, prof, params: HcParams, v: int) -> HicomResult:
     construction_k = domination_radius(g, frozen)
     construction_diameter = cur_diam
 
-    host_ecc = g.distances().max(axis=1)
     _, _, ind_ecc = induced_metrics(g, frozen)
-    if any(ind_ecc[w] >= int(host_ecc[w]) for w in frozen):
+    if any(ind_ecc[w] >= prof.eccentricity[w] for w in frozen):
         frozen = _repair_with_trace(g, frozen, params, trace)
 
     report = check_hc(g, frozen, params.l)

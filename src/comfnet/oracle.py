@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .criteria import SubsetEvaluator, as_fraction, bc_target
-from .graphs import Graph, eccentricity_profile, graph_digest, graph_power
+from .graphs import Graph, bfs, eccentricity_profile, graph_digest, graph_power
 from .hicom import BoundCheck, HicomError, hicom
 
 DEFAULT_CAP = 14
@@ -222,19 +221,8 @@ def reduction_witness(
     if not subset:
         return False, False
 
-    def connected_in(h: Graph) -> bool:
-        start = min(subset)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in h.adj[u]:
-                if w in subset and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(subset)
-
-    power_connected = connected_in(power)
+    _, reached = bfs(power.adj, (min(subset),), g.n, subset)
+    power_connected = len(reached) == len(subset)
 
     dist = g.distances()
     outside = [u for u in range(g.n) if u not in subset]

@@ -1,0 +1,100 @@
+"""The BFS kernel and the cached eccentricity profile against networkx.
+
+networkx is a test-only reference; the module is skipped where it is not
+installed. Graphs are drawn straight from hypothesis, not from comfnet's
+generators, so the reference shares no code with what it checks.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from comfnet import Graph, UNREACHABLE, domination_radius, eccentricity_profile
+from comfnet.graphs import bfs
+
+nx = pytest.importorskip("networkx")
+
+
+@st.composite
+def graphs(draw, max_n=12, connected=False):
+    n = draw(st.integers(1, max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {(u, v) for u, v in draw(st.lists(pairs, max_size=2 * n)) if u != v}
+    if connected:
+        # a random spanning tree: vertex i hangs from some vertex below it
+        edges |= {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    return Graph(n, edges)
+
+
+def as_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def expected_levels(g, lengths):
+    return [lengths.get(v, UNREACHABLE) for v in range(g.n)]
+
+
+@given(graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_single_source_levels(g, data):
+    source = data.draw(st.integers(0, g.n - 1))
+    levels, order = bfs(g.adj, (source,), g.n)
+    lengths = nx.single_source_shortest_path_length(as_nx(g), source)
+    assert levels == expected_levels(g, lengths)
+    assert sorted(order) == sorted(lengths)
+    assert levels[order[-1]] == max(lengths.values())
+
+
+@given(graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_multi_source_levels(g, data):
+    sources = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    levels, order = bfs(g.adj, sources, g.n)
+    lengths = nx.multi_source_dijkstra_path_length(as_nx(g), sources)
+    assert levels == expected_levels(g, lengths)
+    assert len(order) == len(lengths)
+    # visit order is breadth-first: levels never decrease along it
+    assert [levels[v] for v in order] == sorted(levels[v] for v in order)
+
+
+@given(graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_levels_within_a_vertex_set(g, data):
+    within = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    source = data.draw(st.sampled_from(sorted(within)))
+    levels, order = bfs(g.adj, (source,), g.n, within)
+    lengths = nx.single_source_shortest_path_length(as_nx(g).subgraph(within), source)
+    assert levels == expected_levels(g, lengths)
+    assert set(order) == set(lengths) <= within
+
+
+@given(graphs(connected=True))
+@settings(max_examples=80, deadline=None)
+def test_eccentricity_profile_matches_networkx(g):
+    h = as_nx(g)
+    prof = eccentricity_profile(g)
+    ecc = nx.eccentricity(h)
+    assert prof.eccentricity == tuple(ecc[v] for v in range(g.n))
+    assert prof.radius == nx.radius(h)
+    assert prof.diameter == nx.diameter(h)
+    assert prof.center == tuple(sorted(nx.center(h)))
+    assert prof.periphery == tuple(sorted(nx.periphery(h)))
+
+
+@given(graphs(connected=True))
+@settings(max_examples=30, deadline=None)
+def test_eccentricity_profile_is_cached(g):
+    assert eccentricity_profile(g) is eccentricity_profile(g)
+
+
+@given(graphs(connected=True), st.data())
+@settings(max_examples=80, deadline=None)
+def test_domination_radius_matches_networkx(g, data):
+    team = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    lengths = dict(nx.all_pairs_shortest_path_length(as_nx(g)))
+    outside = set(range(g.n)) - team
+    expected = max((min(lengths[u][v] for v in team) for u in outside), default=0)
+    assert domination_radius(g, team) == expected

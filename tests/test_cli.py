@@ -308,8 +308,29 @@ def test_byte_identical_reruns(capsys, c6_file, argv):
     assert first == second
 
 
-def test_bench_smoke(capsys):
+def test_bench_smoke(capsys, monkeypatch):
+    import comfnet.cli
+    import comfnet.graphs
+
+    real_apsp, real_hicom = comfnet.graphs.all_pairs_distances, comfnet.cli.hicom
+    apsp_calls = []
+    apsp_calls_per_hicom = []
+
+    def counted_apsp(g):
+        apsp_calls.append(g.n)
+        return real_apsp(g)
+
+    def watched_hicom(g, l):
+        before = len(apsp_calls)
+        result = real_hicom(g, l)
+        apsp_calls_per_hicom.append(len(apsp_calls) - before)
+        return result
+
+    monkeypatch.setattr(comfnet.graphs, "all_pairs_distances", counted_apsp)
+    monkeypatch.setattr(comfnet.cli, "hicom", watched_hicom)
     code, payload = run_json(capsys, "bench", "--sizes", "30,40", "--seed", "3")
     assert code == 0
     assert [run["n"] for run in payload["runs"]] == [30, 40]
     assert "apsp" in payload["slopes"]
+    # the timed hicom reuses the distances bench just computed
+    assert apsp_calls_per_hicom == [0, 0]

@@ -150,6 +150,9 @@ def test_check_hc_p6_interior_at_five_thirds(p6):
     assert report.domination_radius == 1
     with pytest.raises(ValueError):
         check_hc(p6, {1, 2, 3, 4}, 1)
+    for malformed in ("1/0", "abc"):
+        with pytest.raises(ValueError, match=f"cannot parse l='{malformed}' as a rational"):
+            check_hc(p6, {1, 2, 3, 4}, malformed)
 
 
 def test_check_hc_comfortable_verdict():

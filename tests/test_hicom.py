@@ -102,6 +102,9 @@ def test_degenerate_params(c6):
 def test_l_validation(c6, p6):
     with pytest.raises(ValueError):
         hicom(c6, 1)
+    for malformed in ("1/0", "abc"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            hicom(c6, malformed)
     with pytest.raises(ValueError, match="allow_large_l"):
         hicom(p6, Fraction(5, 2))
     with pytest.warns(UserWarning, match="not guaranteed"):
