@@ -21,7 +21,7 @@ print("\nPer-vertex eccentricities:", profile.eccentricity)
 print(f"radius {profile.radius}, diameter {profile.diameter}, "
       f"center {[p6.labels[v] for v in profile.center]}, class {profile.class_label}")
 
-print("\nThe distance matrix is cached on the graph after the first use:")
+print("\nAll-pairs hop distances, computed on request (the graph caches only its profile):")
 print(all_pairs_distances(p6))
 
 print("\nShells around the central vertex v3 partition the graph:")

@@ -147,19 +147,18 @@ def induced_metrics(g: Graph, members: frozenset[int]):
 
 
 class SubsetEvaluator:
-    """Per-graph scratch for tight enumeration loops: plain-list distances
-    and adjacency, and a single-pass profile of any vertex subset."""
+    """Per-graph scratch for tight enumeration loops: the host
+    eccentricities, and a single-pass profile of any vertex subset."""
 
     def __init__(self, g: Graph):
-        self.g = g
-        self.dist = g.distances().tolist()
         self.ecc = eccentricity_profile(g).eccentricity
-        self.adj = [tuple(nbrs) for nbrs in g.adj]
+        self.adj = g.adj
         self.n = g.n
 
     def profile(self, subset) -> tuple[bool, int, bool, int | None]:
         """(connected, induced_diameter, less_dispersive, domination_radius);
-        the radius is None when the subset is disconnected."""
+        the radius, the deepest level of one search from the whole subset,
+        is None when the subset is disconnected."""
         members = set(subset)
         diameter = 0
         less = True
@@ -172,14 +171,8 @@ class SubsetEvaluator:
                 less = False
             if e > diameter:
                 diameter = e
-        k = 0
-        rows = self.dist
-        for u in range(self.n):
-            if u not in members:
-                best = min(rows[u][v] for v in subset)
-                if best > k:
-                    k = best
-        return True, diameter, less, k
+        levels, order = bfs(self.adj, subset, self.n)
+        return True, diameter, less, levels[order[-1]]
 
 
 def bc_target(g: Graph, l) -> int:
@@ -275,16 +268,15 @@ def check_hc(g: Graph, members: Iterable[int] | TeamCandidate, l) -> TeamReport:
 
 def check_bc(g: Graph, members: Iterable[int] | TeamCandidate, l) -> bool:
     """True iff the team is connected, less dispersive, and meets the
-    induced-diameter ceiling for ``l``."""
+    induced-diameter ceiling for ``l``; the ceiling implies connected."""
     report = check_hc(g, members, l)
-    return report.is_connected and report.less_dispersive and report.bc_condition
+    return report.less_dispersive and report.bc_condition
 
 
 def is_comfortable(g: Graph, members: Iterable[int] | TeamCandidate) -> bool:
-    """Connected, dominating at distance one, and less dispersive."""
+    """Connected, dominating at distance one, and less dispersive. A less
+    dispersive team is connected: in a disconnected one every member's
+    induced eccentricity is UNREACHABLE, so every member is a violator."""
     team = _member_set(g, members)
-    connected, _, _ = induced_metrics(g, team)
-    if not connected:
-        return False
     ok, _ = is_less_dispersive(g, team)
     return ok and domination_radius(g, team) <= 1

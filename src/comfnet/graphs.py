@@ -2,8 +2,8 @@
 
 Vertices are dense 0-based indices. Human-facing labels (``v1`` .. ``vn``
 by default) live in a sidecar tuple on the graph and never enter the
-algorithms. Every hop count comes from one breadth-first kernel, ``bfs``.
-Each graph caches its all-pairs distances as an ``n x n`` numpy matrix and
+algorithms. Every hop count comes from one breadth-first kernel, ``bfs``,
+run from the sources a caller needs. Each graph caches one derived thing,
 its eccentricity profile; ``UNREACHABLE`` marks pairs in different
 components and is strictly larger than any real hop count, so max/min
 aggregations stay well defined on disconnected vertex sets.
@@ -34,12 +34,12 @@ class Graph:
     """Simple undirected graph on vertices ``0 .. n-1``.
 
     Instances are immutable after construction and safe to share across
-    threads. The all-pairs distance matrix and the eccentricity profile are
-    computed lazily and cached; recomputation is deterministic, so a benign
-    double-compute under concurrency cannot change the result.
+    threads. The eccentricity profile is computed lazily and cached;
+    recomputation is deterministic, so a benign double-compute under
+    concurrency cannot change the result.
     """
 
-    __slots__ = ("n", "edges", "adj", "labels", "_dist", "_profile", "_connected")
+    __slots__ = ("n", "edges", "adj", "labels", "_profile", "_connected")
 
     def __init__(
         self,
@@ -70,7 +70,6 @@ class Graph:
             if len(label_tuple) != n or len(set(label_tuple)) != n:
                 raise ValueError("labels must be distinct and cover every vertex")
             self.labels = label_tuple
-        self._dist: np.ndarray | None = None
         self._profile: EccentricityProfile | None = None
         self._connected: bool | None = None
 
@@ -96,12 +95,6 @@ class Graph:
             _, reached = bfs(self.adj, (0,), self.n)
             self._connected = len(reached) == self.n
         return self._connected
-
-    def distances(self) -> DistanceMatrix:
-        """All-pairs hop distances, cached on first use."""
-        if self._dist is None:
-            self._dist = all_pairs_distances(self)
-        return self._dist
 
     def vertex_for_label(self, label: str) -> int:
         try:
@@ -207,12 +200,14 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
     """
     if g._profile is not None:
         return g._profile
-    dist = g.distances()
-    if (dist >= UNREACHABLE).any():
+    if not g.is_connected():
         raise ValueError("graph is disconnected; analyze each component separately")
-    ecc = dist.max(axis=1)
-    radius = int(ecc.min())
-    diameter = int(ecc.max())
+    ecc = []
+    for s in range(g.n):
+        levels, order = bfs(g.adj, (s,), g.n)
+        ecc.append(levels[order[-1]])
+    radius = min(ecc)
+    diameter = max(ecc)
     a = diameter - radius
     if a == 0:
         label = "self-centered"
@@ -223,11 +218,11 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
     else:
         label = f"{a + 1}-eccentric"
     g._profile = EccentricityProfile(
-        eccentricity=tuple(int(e) for e in ecc),
+        eccentricity=tuple(ecc),
         radius=radius,
         diameter=diameter,
-        center=tuple(int(v) for v in np.flatnonzero(ecc == radius)),
-        periphery=tuple(int(v) for v in np.flatnonzero(ecc == diameter)),
+        center=tuple(v for v, e in enumerate(ecc) if e == radius),
+        periphery=tuple(v for v, e in enumerate(ecc) if e == diameter),
         class_label=label,
     )
     return g._profile
@@ -239,15 +234,16 @@ def shell(g: Graph, v: int, j: int) -> frozenset[int]:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
     if j < 0:
         raise ValueError(f"shell index must be >= 0, got {j}")
-    row = g.distances()[v]
-    return frozenset(int(u) for u in np.flatnonzero(row == j))
+    levels = bfs(g.adj, (v,), g.n)[0]
+    return frozenset(u for u, d in enumerate(levels) if d == j)
 
 
 def induced_subgraph(g: Graph, members: Iterable[int]) -> Induced:
     """Subgraph induced by ``members`` with the host/sub index maps.
 
-    The induced graph computes its own distance matrix: induced distances
-    and eccentricities generally differ from the host's restricted ones.
+    The induced graph computes its own eccentricity profile: induced
+    distances and eccentricities generally differ from the host's
+    restricted ones.
     """
     vertices = sorted(set(members))
     if not vertices:
@@ -268,7 +264,7 @@ def graph_power(g: Graph, k: int) -> Graph:
     """Graph on the same vertices with an edge wherever 1 <= d(u,v) <= k."""
     if k < 1:
         raise ValueError(f"graph power requires k >= 1, got {k}")
-    dist = g.distances()
+    dist = all_pairs_distances(g)
     iu = np.triu_indices(g.n, k=1)
     close = (dist[iu] >= 1) & (dist[iu] <= k)
     edges = list(zip(iu[0][close].tolist(), iu[1][close].tolist()))

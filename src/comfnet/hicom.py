@@ -61,18 +61,21 @@ class HcParams:
 
     l: Fraction
     d1: int
-    start_vertex_override: int | None = None
 
     @classmethod
-    def for_graph(cls, g: Graph, l, start: int | None = None, allow_large_l: bool = False):
-        frac = _validate_l(l, allow_large_l)
+    def for_graph(cls, g: Graph, l, allow_large_l: bool = False):
+        return cls._for_fraction(g, _validate_l(l, allow_large_l))
+
+    @classmethod
+    def _for_fraction(cls, g: Graph, frac: Fraction):
+        """Parameters for an ``l`` that ``_validate_l`` has already passed."""
         diam = eccentricity_profile(g).diameter
         d1 = bc_target(g, frac)
         if d1 < 1 or d1 >= diam:
             raise DegenerateParams(
                 f"degenerate params: d1={d1} with diam(G)={diam} requests no reduction"
             )
-        return cls(l=frac, d1=d1, start_vertex_override=start)
+        return cls(l=frac, d1=d1)
 
 
 @dataclass(frozen=True)
@@ -190,8 +193,8 @@ def extend_step(g: Graph, v: int, members: frozenset[int], i: int, d1: int) -> i
     shrink when a vertex is added, so a candidate within d1 never
     overshoots: the grown diameter is max(new eccentricity, old pairs).
     """
-    row = g.distances()[v]
-    shell_i = [u for u in range(g.n) if int(row[u]) == i and u not in members]
+    row = bfs(g.adj, (v,), g.n)[0]
+    shell_i = [u for u in range(g.n) if row[u] == i and u not in members]
     best_vertex = None
     best_ecc = -1
     for u in shell_i:
@@ -296,15 +299,6 @@ def repair(g: Graph, members: Iterable[int], params: HcParams) -> TeamCandidate:
     return TeamCandidate(g, repaired)
 
 
-def _repair_with_trace(g, members, params, trace):
-    before = frozenset(members)
-    team = repair(g, before, params)
-    removed = sorted(before - team.members)
-    for v in removed:
-        trace.append(TraceStep("repair", None, (v,)))
-    return team.members
-
-
 def small_diameter_fallback(g: Graph) -> TeamCandidate | None:
     """Dominating-clique search for graphs of diameter <= 2.
 
@@ -374,7 +368,7 @@ def hicom(
     """
     if not g.is_connected():
         raise ValueError("hicom requires a connected graph")
-    _validate_l(l, allow_large_l)
+    frac = _validate_l(l, allow_large_l)
     prof = eccentricity_profile(g)
 
     if prof.diameter <= 2:
@@ -403,7 +397,7 @@ def hicom(
             report=report,
         )
 
-    params = HcParams.for_graph(g, l, start=start, allow_large_l=allow_large_l)
+    params = HcParams._for_fraction(g, frac)
 
     if start is not None:
         if start not in prof.center:
@@ -438,11 +432,11 @@ def _attempt(g: Graph, prof, params: HcParams, v: int) -> HicomResult:
     """One run from a fixed central start: ball, extension, repair, check."""
     d1 = params.d1
     x = d1 // 2
-    dist_row = g.distances()[v]
+    dist_row = bfs(g.adj, (v,), g.n)[0]
     trace: list[TraceStep] = []
     members: set[int] = set()
     for j in range(x + 1):
-        shell_j = tuple(int(u) for u in range(g.n) if int(dist_row[u]) == j)
+        shell_j = tuple(u for u in range(g.n) if dist_row[u] == j)
         members.update(shell_j)
         trace.append(TraceStep("ball", j, shell_j))
 
@@ -469,7 +463,9 @@ def _attempt(g: Graph, prof, params: HcParams, v: int) -> HicomResult:
 
     _, _, ind_ecc = induced_metrics(g, frozen)
     if any(ind_ecc[w] >= prof.eccentricity[w] for w in frozen):
-        frozen = _repair_with_trace(g, frozen, params, trace)
+        repaired = repair(g, frozen, params).members
+        trace.extend(TraceStep("repair", None, (u,)) for u in sorted(frozen - repaired))
+        frozen = repaired
 
     report = check_hc(g, frozen, params.l)
     if not report.is_hc:

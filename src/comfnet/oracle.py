@@ -224,9 +224,9 @@ def reduction_witness(
     _, reached = bfs(power.adj, (min(subset),), g.n, subset)
     power_connected = len(reached) == len(subset)
 
-    dist = g.distances()
+    # unreached vertices sit at UNREACHABLE > k, so a disconnected host reads False
+    k_dominates = max(bfs(g.adj, subset, g.n)[0]) <= k
     outside = [u for u in range(g.n) if u not in subset]
-    k_dominates = all(min(int(dist[u][v]) for v in subset) <= k for u in outside)
 
     adjsets = [set(nbrs) for nbrs in power.adj]
     power_dominates = all(adjsets[u] & subset for u in outside)

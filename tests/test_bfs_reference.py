@@ -1,4 +1,6 @@
-"""The BFS kernel and the cached eccentricity profile against networkx.
+"""The BFS kernel, the cached eccentricity profile and the hop metrics
+built on them (shells, subset profiles, the power-graph reduction) against
+networkx.
 
 networkx is a test-only reference; the module is skipped where it is not
 installed. Graphs are drawn straight from hypothesis, not from comfnet's
@@ -9,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comfnet import Graph, UNREACHABLE, domination_radius, eccentricity_profile
+from comfnet import (
+    Graph,
+    UNREACHABLE,
+    domination_radius,
+    eccentricity_profile,
+    reduction_witness,
+    shell,
+)
+from comfnet.criteria import SubsetEvaluator
 from comfnet.graphs import bfs
 
 nx = pytest.importorskip("networkx")
@@ -98,3 +108,57 @@ def test_domination_radius_matches_networkx(g, data):
     outside = set(range(g.n)) - team
     expected = max((min(lengths[u][v] for v in team) for u in outside), default=0)
     assert domination_radius(g, team) == expected
+
+
+def nearest_team_distance(lengths, team, u):
+    return min((lengths[u][v] for v in team if v in lengths[u]), default=None)
+
+
+@given(graphs(connected=True), st.data())
+@settings(max_examples=80, deadline=None)
+def test_subset_profile_matches_networkx(g, data):
+    subset = tuple(sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))))
+    h = as_nx(g)
+    sub = h.subgraph(subset)
+    connected, diameter, less, k = SubsetEvaluator(g).profile(subset)
+    assert connected == nx.is_connected(sub)
+    if not connected:
+        assert (diameter, less, k) == (UNREACHABLE, False, None)
+        return
+    host_ecc = nx.eccentricity(h)
+    sub_ecc = nx.eccentricity(sub)
+    assert diameter == max(sub_ecc.values())
+    assert less == all(sub_ecc[v] < host_ecc[v] for v in subset)
+    lengths = dict(nx.all_pairs_shortest_path_length(h))
+    outside = set(range(g.n)) - set(subset)
+    assert k == max((nearest_team_distance(lengths, subset, u) for u in outside), default=0)
+
+
+@given(graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_shell_matches_networkx(g, data):
+    v = data.draw(st.integers(0, g.n - 1))
+    j = data.draw(st.integers(0, g.n))
+    lengths = nx.single_source_shortest_path_length(as_nx(g), v)
+    assert shell(g, v, j) == {u for u, d in lengths.items() if d == j}
+
+
+@given(graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_reduction_witness_matches_networkx(g, data):
+    subset = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    k = data.draw(st.integers(1, 4))
+    h = as_nx(g)
+    power = nx.power(h, k)
+    lengths = dict(nx.all_pairs_shortest_path_length(h))
+    outside = set(range(g.n)) - subset
+    k_dominates = all(
+        (d := nearest_team_distance(lengths, subset, u)) is not None and d <= k
+        for u in outside
+    )
+    power_connected = nx.is_connected(power.subgraph(subset))
+    power_dominates = all(set(power[u]) & subset for u in outside)
+    assert reduction_witness(g, k, subset) == (
+        k_dominates and power_connected,
+        power_dominates and power_connected,
+    )

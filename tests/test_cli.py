@@ -315,6 +315,7 @@ def test_bench_smoke(capsys, monkeypatch):
     real_apsp, real_hicom = comfnet.graphs.all_pairs_distances, comfnet.cli.hicom
     apsp_calls = []
     apsp_calls_per_hicom = []
+    profiles_cached = []
 
     def counted_apsp(g):
         apsp_calls.append(g.n)
@@ -322,6 +323,7 @@ def test_bench_smoke(capsys, monkeypatch):
 
     def watched_hicom(g, l):
         before = len(apsp_calls)
+        profiles_cached.append(g._profile is not None)
         result = real_hicom(g, l)
         apsp_calls_per_hicom.append(len(apsp_calls) - before)
         return result
@@ -332,5 +334,6 @@ def test_bench_smoke(capsys, monkeypatch):
     assert code == 0
     assert [run["n"] for run in payload["runs"]] == [30, 40]
     assert "apsp" in payload["slopes"]
-    # the timed hicom reuses the distances bench just computed
+    # the timed hicom runs no all-pairs BFS and finds the host profile warm
     assert apsp_calls_per_hicom == [0, 0]
+    assert profiles_cached == [True, True]

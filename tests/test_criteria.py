@@ -217,6 +217,17 @@ def test_subset_evaluator_agrees_with_reports(data, l):
         assert k == report.domination_radius
 
 
+@given(graph_and_team(), st.sampled_from([Fraction(3, 2), Fraction(2), Fraction(5, 3)]))
+@settings(max_examples=80, deadline=None)
+def test_is_comfortable_and_check_bc_agree_with_reports(data, l):
+    g, members = data
+    report = check_hc(g, members, l)
+    assert is_comfortable(g, members) == (
+        report.is_connected and report.is_dominating_1 and report.less_dispersive
+    )
+    assert check_bc(g, members, l) == report.is_bc
+
+
 def test_domination_requires_connected_host():
     with pytest.raises(ValueError):
         domination_radius(Graph(4, [(0, 1), (2, 3)]), {0})

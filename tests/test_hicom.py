@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ from comfnet import (
     HicomError,
     NoFeasibleTeam,
     RepairFailed,
+    bfs_distances,
     check_hc,
     complete_graph,
     cycle_graph,
@@ -111,6 +113,27 @@ def test_l_validation(c6, p6):
         hicom(p6, Fraction(9, 5))
 
 
+def test_large_l_warns_once_at_the_caller():
+    g = path_graph(30)
+    for call in (lambda: hicom(g, "7/4"), lambda: HcParams.for_graph(g, "7/4")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [w.category for w in caught] == [UserWarning]
+        assert caught[0].filename == __file__
+
+
+def test_hicom_never_holds_a_dense_distance_matrix():
+    g = path_graph(400)
+    tracemalloc.start()
+    try:
+        hicom(g, "3/2")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * g.n * 8  # one n x n int64 matrix: 1.28 MB
+
+
 def test_large_l_with_flag():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -143,9 +166,8 @@ def test_repair_identity_when_already_less_dispersive(p6):
 def test_repair_failure_attaches_candidate():
     g = parse_edge_list((DATA / "no_team_n15.txt").read_text())
     prof = eccentricity_profile(g)
-    ball = frozenset(
-        u for u in range(g.n) if g.distances()[prof.center[0]][u] <= 1
-    )
+    row = bfs_distances(g, prof.center[0])
+    ball = frozenset(u for u in range(g.n) if row[u] <= 1)
     with pytest.raises(RepairFailed) as exc:
         repair(g, ball, HcParams(l=L32, d1=2))
     assert exc.value.candidate
@@ -265,7 +287,7 @@ def test_ball_induced_diameter_within_target():
         params = HcParams.for_graph(g, L32)
         x = params.d1 // 2
         for v in prof.center[:2]:
-            row = g.distances()[v]
+            row = bfs_distances(g, v)
             ball = frozenset(u for u in range(g.n) if row[u] <= x)
             _, diameter, _ = induced_metrics(g, ball)
             assert diameter <= params.d1
