@@ -38,6 +38,7 @@ from .oracle import (
     exact_max_team,
     exact_min_cds,
     exact_min_team,
+    oracle_cap,
     ratio_experiment,
 )
 
@@ -273,9 +274,12 @@ def _time_best_of(fn, repeats: int = 3) -> float:
 
 
 def cmd_bench(args, l: Fraction | None) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if not sizes:
-        raise ValueError("bench needs at least one size")
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"--sizes {args.sizes!r}: give one or more integers of at least 1")
     runs = []
     for n in sizes:
         p = 2.5 * math.log(n) / n if args.p is None else args.p
@@ -392,6 +396,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         l = parse_l(args.l) if getattr(args, "l", None) is not None else None
+        if hasattr(args, "cap"):
+            args.cap = oracle_cap(args.cap)  # --cap or COMFNET_ORACLE_CAP, checked up front
         return args.func(args, l)
     except EdgeListParseError as exc:
         return _emit_error("parse", str(exc), EXIT_USAGE)

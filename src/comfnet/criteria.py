@@ -147,32 +147,127 @@ def induced_metrics(g: Graph, members: frozenset[int]):
 
 
 class SubsetEvaluator:
-    """Per-graph scratch for tight enumeration loops: the host
-    eccentricities, and a single-pass profile of any vertex subset."""
+    """Per-graph scratch for exhaustive scans over vertex subsets of a
+    connected graph. A subset is an int bitmask (bit v for vertex v); the
+    evaluator holds the host eccentricities, one neighbourhood mask per
+    vertex and the full mask. Each search below can stop at a bound, so a
+    scan pays only for the conditions a subset reaches."""
 
     def __init__(self, g: Graph):
         self.ecc = eccentricity_profile(g).eccentricity
-        self.adj = g.adj
+        self.nbr = tuple(sum(1 << w for w in nbrs) for nbrs in g.adj)
+        self.full = (1 << g.n) - 1
         self.n = g.n
 
-    def profile(self, subset) -> tuple[bool, int, bool, int | None]:
-        """(connected, induced_diameter, less_dispersive, domination_radius);
-        the radius, the deepest level of one search from the whole subset,
-        is None when the subset is disconnected."""
-        members = set(subset)
+    def members(self, mask: int) -> tuple[int, ...]:
+        return tuple(v for v in range(self.n) if mask >> v & 1)
+
+    def connected_sets(self, limit):
+        """Depth-first ESU walk (Wernicke, IEEE/ACM TCBB 3(4), 2006): yield
+        ``(mask, closed neighbourhood mask, size)`` for every connected
+        vertex set of at most ``limit()`` vertices, each exactly once.
+
+        The sets rooted at v are those whose smallest vertex is v; a set
+        grows only by vertices above v that neighbour the newest member and
+        nothing before it. The stack holds one path of the walk. ``limit``
+        is read again before every step down, so a caller may lower it."""
+        nbr = self.nbr
+        if limit() < 1:
+            return
+        for v in range(self.n):
+            above = self.full ^ ((2 << v) - 1)
+            root = 1 << v
+            yield root, root | nbr[v], 1
+            stack = [(root, nbr[v] & above, root | nbr[v])]
+            while stack:
+                sub, ext, closed = stack[-1]
+                if not ext or len(stack) >= limit():
+                    stack.pop()
+                    continue
+                low = ext & -ext
+                ext ^= low
+                stack[-1] = (sub, ext, closed)
+                w = nbr[low.bit_length() - 1]
+                child = (sub | low, ext | (w & above & ~closed), closed | w)
+                yield child[0], child[2], len(stack) + 1
+                stack.append(child)
+
+    def neighbours(self, mask: int) -> int:
+        """Union of the neighbourhoods of the vertices in ``mask``."""
+        nbr = self.nbr
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= nbr[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def radius(self, mask: int, closed: int, bound: int = UNREACHABLE) -> int | None:
+        """Domination radius of ``mask``, the deepest level of one search
+        from all of it (``closed`` is its closed neighbourhood, level one);
+        None as soon as it is known to exceed ``bound``."""
+        full = self.full
+        if mask == full:
+            return 0
+        seen, frontier, k = closed, closed & ~mask, 1
+        while seen != full:  # the host is connected, so every level grows
+            if k >= bound:
+                return None
+            frontier = self.neighbours(frontier) & ~seen
+            seen |= frontier
+            k += 1
+        return k
+
+    def eccentricity_within(self, v: int, mask: int, stop: int = UNREACHABLE) -> int | None:
+        """Eccentricity of member v inside ``mask``: UNREACHABLE when some
+        member cannot be reached, None as soon as it is known to reach
+        ``stop``."""
+        seen = frontier = 1 << v
+        e = 0
+        while seen != mask:
+            if e + 1 >= stop:
+                return None
+            frontier = self.neighbours(frontier) & mask & ~seen
+            if not frontier:
+                return UNREACHABLE
+            seen |= frontier
+            e += 1
+        return e
+
+    def less_dispersive_diameter(self, mask: int, cap: int = UNREACHABLE) -> int | None:
+        """Induced diameter of a connected ``mask`` whose every member's
+        induced eccentricity is below its host eccentricity and at most
+        ``cap``; None at the first member that fails."""
         diameter = 0
-        less = True
-        for src in subset:
-            levels, order = bfs(self.adj, (src,), self.n, members)
-            if len(order) < len(members):
-                return False, UNREACHABLE, False, None
-            e = levels[order[-1]]
-            if e >= self.ecc[src]:
-                less = False
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            e = self.eccentricity_within(v, mask, min(self.ecc[v], cap + 1))
+            if e is None:
+                return None
             if e > diameter:
                 diameter = e
-        levels, order = bfs(self.adj, subset, self.n)
-        return True, diameter, less, levels[order[-1]]
+        return diameter
+
+    def profile(self, subset) -> tuple[bool, int, bool, int | None]:
+        """(connected, induced_diameter, less_dispersive, domination_radius)
+        of a nonempty vertex subset; the radius is None when the subset is
+        disconnected."""
+        mask = closed = 0
+        for v in subset:
+            mask |= 1 << v
+            closed |= self.nbr[v]
+        diameter = 0
+        less = True
+        for v in subset:
+            e = self.eccentricity_within(v, mask)
+            if e == UNREACHABLE:
+                return False, UNREACHABLE, False, None
+            less = less and e < self.ecc[v]
+            diameter = max(diameter, e)
+        return True, diameter, less, self.radius(mask, closed | mask)
 
 
 def bc_target(g: Graph, l) -> int:

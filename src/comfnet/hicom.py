@@ -441,7 +441,7 @@ def _attempt(g: Graph, prof, params: HcParams, v: int) -> HicomResult:
         trace.append(TraceStep("ball", j, shell_j))
 
     frozen = frozenset(members)
-    _, cur_diam, _ = induced_metrics(g, frozen)
+    _, cur_diam, ind_ecc = induced_metrics(g, frozen)
     unreached = False
     i = x
     while cur_diam < d1:
@@ -456,12 +456,11 @@ def _attempt(g: Graph, prof, params: HcParams, v: int) -> HicomResult:
             continue
         frozen = frozen | {u}
         trace.append(TraceStep("extend", i, (u,)))
-        _, cur_diam, _ = induced_metrics(g, frozen)
+        _, cur_diam, ind_ecc = induced_metrics(g, frozen)
 
     construction_k = domination_radius(g, frozen)
     construction_diameter = cur_diam
 
-    _, _, ind_ecc = induced_metrics(g, frozen)
     if any(ind_ecc[w] >= prof.eccentricity[w] for w in frozen):
         repaired = repair(g, frozen, params).members
         trace.extend(TraceStep("repair", None, (u,)) for u in sorted(frozen - repaired))

@@ -1,9 +1,12 @@
 """Exhaustive ground truth on small graphs.
 
-Subsets are enumerated in increasing (or decreasing, for maximization)
-cardinality with a connectivity pre-filter, and the first feasible
-cardinality wins; within it the minimal domination radius is the
-secondary objective and lexicographic order breaks remaining ties.
+Every team kind and every connected dominating set is connected, so the
+scans walk the connected vertex sets only, as bitmasks, and test each one
+against its kind, cheapest condition first. The smallest feasible
+cardinality wins (the largest, for maximization); within it the minimal
+domination radius is the secondary objective and lexicographic order
+breaks remaining ties. ``enumerated`` counts every subset of the
+cardinalities scanned, connected or not.
 Infeasibility is a first-class answer: whole graph families admit no
 comfortable team, and the enumerator proves it by exhaustion.
 """
@@ -14,7 +17,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .criteria import SubsetEvaluator, as_fraction, bc_target
@@ -79,10 +81,22 @@ class RatioRecord:
 
 
 def oracle_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(_CAP_ENV)
-    return int(env) if env else DEFAULT_CAP
+    """The largest n the exhaustive scans accept: ``cap``, else the
+    ``COMFNET_ORACLE_CAP`` environment variable, else ``DEFAULT_CAP``.
+    ValueError, naming the input, unless it is an integer of at least 1."""
+    name = "cap"
+    if cap is None:
+        env = os.environ.get(_CAP_ENV)
+        if not env:
+            return DEFAULT_CAP
+        name = _CAP_ENV
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(f"{_CAP_ENV}={env!r} is not an integer") from None
+    if cap < 1:
+        raise ValueError(f"oracle cap must be at least 1, got {name}={cap}")
+    return cap
 
 
 def _check_cap(g: Graph, cap: int | None) -> None:
@@ -94,8 +108,14 @@ def _check_cap(g: Graph, cap: int | None) -> None:
         )
 
 
-def _feasibility(kind: str, target: int | None):
-    """Predicate over a subset profile for one team kind.
+def _kind_test(ev: SubsetEvaluator, kind: str, target: int | None):
+    """Test of one team kind over a connected set: ``test(mask, closed)``
+    returns its domination radius k when the set qualifies, else None.
+
+    Conditions run cheapest first: the domination radius (k <= 1 for
+    'comfortable' and 'cds', k <= target for 'hc'), then the member
+    searches, which stop at the first member whose induced eccentricity
+    reaches its host eccentricity or passes the target.
 
     The 'bc' minimization uses the tight-diameter reading: the team's
     induced diameter must equal the target exactly, i.e. the team spends
@@ -106,41 +126,69 @@ def _feasibility(kind: str, target: int | None):
     accessibility condition k <= diam already rules the degenerate sets
     out, and the heuristic-vs-exact ratio needs the global size minimum.
     """
+    full = ev.full
 
-    def feasible(connected, diameter, less, k) -> bool:
-        if not connected:
-            return False
-        if kind == "cds":
-            return k <= 1
-        if not less:
-            return False
-        if kind == "comfortable":
-            return k <= 1
-        if kind == "hc":
-            return diameter <= target and k <= diameter
-        return diameter == target  # bc, tight reading
+    def cds(mask, closed):
+        if closed != full:
+            return None
+        return 0 if mask == full else 1
 
-    return feasible
+    def comfortable(mask, closed):
+        if closed != full or ev.less_dispersive_diameter(mask) is None:
+            return None
+        return 1  # a proper subset; the whole vertex set is never less dispersive
+
+    def bc(mask, closed):
+        if ev.less_dispersive_diameter(mask, target) != target:
+            return None
+        return ev.radius(mask, closed)
+
+    def hc(mask, closed):
+        k = ev.radius(mask, closed, target)
+        if k is None:
+            return None
+        diameter = ev.less_dispersive_diameter(mask, target)
+        return None if diameter is None or k > diameter else k
+
+    return {"cds": cds, "comfortable": comfortable, "bc": bc, "hc": hc}[kind]
 
 
-def _scan_cardinality(ev, feasible, size: int):
-    """Best feasible subset of one cardinality: minimal k, then lexicographic."""
-    best = None
-    examined = 0
-    for subset in combinations(range(ev.n), size):
-        examined += 1
-        connected, diameter, less, k = ev.profile(subset)
-        if feasible(connected, diameter, less, k) and (best is None or k < best[0]):
-            best = (k, subset)
-    return best, examined
+def _scan(kind: str, l, ev: SubsetEvaluator, test, sizes: range) -> OracleAnswer:
+    """The best connected set ``test`` passes among the sizes in ``sizes``:
+    the first such size in that order, then the minimal k, then the
+    lexicographically first witness. ``enumerated`` counts every subset of
+    the sizes scanned up to the optimum, connected or not. Once a size is
+    found, a walk for the smallest goes no deeper."""
+    largest = sizes.step < 0
+    max_size = max(sizes, default=0)
+    best = None  # (size rank in scan order, k, witness)
+
+    def limit():
+        return max_size if best is None or largest else best[0]
+
+    for mask, closed, size in ev.connected_sets(limit):
+        rank = -size if largest else size
+        if best is not None and rank > best[0]:
+            continue
+        k = test(mask, closed)
+        if k is None or (best is not None and (rank, k) > best[:2]):
+            continue
+        found = (rank, k, ev.members(mask))
+        if best is None or found < best:
+            best = found
+    if best is None:
+        return OracleAnswer(kind, l, None, None, None, sum(math.comb(ev.n, s) for s in sizes))
+    rank, k, witness = best
+    scanned = sizes[: sizes.index(abs(rank)) + 1]
+    return OracleAnswer(kind, l, abs(rank), witness, k, sum(math.comb(ev.n, s) for s in scanned))
 
 
 def exact_min_team(g: Graph, kind: str, l=None, cap: int | None = None) -> OracleAnswer:
     """Exact minimum team size for one kind over all nonempty proper subsets.
 
-    'comfortable' ignores l; 'bc' and 'hc' need l > 1. The enumeration
-    stops at the first feasible cardinality; the reported domination
-    radius is the minimum among optimum-size teams.
+    'comfortable' ignores l; 'bc' and 'hc' need l > 1. The answer is the
+    smallest feasible cardinality; the reported domination radius is the
+    minimum among optimum-size teams.
     """
     if kind not in ("comfortable", "bc", "hc"):
         raise ValueError(f"unknown team kind {kind!r}")
@@ -153,14 +201,7 @@ def exact_min_team(g: Graph, kind: str, l=None, cap: int | None = None) -> Oracl
         frac = as_fraction(l)
         target = bc_target(g, frac)
     ev = SubsetEvaluator(g)
-    feasible = _feasibility(kind, target)
-    enumerated = 0
-    for size in range(1, g.n):  # proper subsets only
-        best, examined = _scan_cardinality(ev, feasible, size)
-        enumerated += examined
-        if best is not None:
-            return OracleAnswer(kind, frac, size, best[1], best[0], enumerated)
-    return OracleAnswer(kind, frac, None, None, None, enumerated)
+    return _scan(kind, frac, ev, _kind_test(ev, kind, target), range(1, g.n))
 
 
 def exact_max_team(g: Graph, l, cap: int | None = None) -> OracleAnswer:
@@ -169,16 +210,9 @@ def exact_max_team(g: Graph, l, cap: int | None = None) -> OracleAnswer:
         raise ValueError("oracle requires a connected graph")
     _check_cap(g, cap)
     frac = as_fraction(l)
-    target = bc_target(g, frac)
     ev = SubsetEvaluator(g)
-    feasible = _feasibility("hc", target)
-    enumerated = 0
-    for size in range(g.n - 1, 0, -1):
-        best, examined = _scan_cardinality(ev, feasible, size)
-        enumerated += examined
-        if best is not None:
-            return OracleAnswer("hc-max", frac, size, best[1], best[0], enumerated)
-    return OracleAnswer("hc-max", frac, None, None, None, enumerated)
+    test = _kind_test(ev, "hc", bc_target(g, frac))
+    return _scan("hc-max", frac, ev, test, range(g.n - 1, 0, -1))
 
 
 def exact_min_cds(g: Graph, cap: int | None = None) -> OracleAnswer:
@@ -188,14 +222,7 @@ def exact_min_cds(g: Graph, cap: int | None = None) -> OracleAnswer:
         raise ValueError("oracle requires a connected graph")
     _check_cap(g, cap)
     ev = SubsetEvaluator(g)
-    feasible = _feasibility("cds", None)
-    enumerated = 0
-    for size in range(1, g.n + 1):
-        best, examined = _scan_cardinality(ev, feasible, size)
-        enumerated += examined
-        if best is not None:
-            return OracleAnswer("cds", None, size, best[1], best[0], enumerated)
-    return OracleAnswer("cds", None, None, None, None, enumerated)
+    return _scan("cds", None, ev, _kind_test(ev, "cds", None), range(1, g.n + 1))
 
 
 def reduction_witness(

@@ -1,11 +1,13 @@
 """The BFS kernel, the cached eccentricity profile and the hop metrics
-built on them (shells, subset profiles, the power-graph reduction) against
-networkx.
+built on them (shells, subset profiles, the connected-set walk, the
+power-graph reduction) against networkx.
 
 networkx is a test-only reference; the module is skipped where it is not
 installed. Graphs are drawn straight from hypothesis, not from comfnet's
 generators, so the reference shares no code with what it checks.
 """
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -162,3 +164,25 @@ def test_reduction_witness_matches_networkx(g, data):
         k_dominates and power_connected,
         power_dominates and power_connected,
     )
+
+
+@given(graphs(max_n=9, connected=True), st.data())
+@settings(max_examples=60, deadline=None)
+def test_connected_sets_are_the_connected_subsets(g, data):
+    limit = data.draw(st.integers(1, g.n))
+    h = as_nx(g)
+    walked = [
+        (tuple(v for v in range(g.n) if mask >> v & 1), closed, size)
+        for mask, closed, size in SubsetEvaluator(g).connected_sets(lambda: limit)
+    ]
+    members = [m for m, _, _ in walked]
+    assert len(members) == len(set(members))  # each set once
+    assert set(members) == {
+        s
+        for size in range(1, limit + 1)
+        for s in combinations(range(g.n), size)
+        if nx.is_connected(h.subgraph(s))
+    }
+    for m, closed, size in walked:
+        assert size == len(m)
+        assert closed == sum(1 << v for v in set(m).union(*(h[u] for u in m)))

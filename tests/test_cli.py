@@ -255,6 +255,29 @@ def test_oracle_cap_exceeded(capsys, tmp_path):
     assert "cap" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, env, named",
+    [
+        (("oracle", "min", "--kind", "comfortable", "--cap", "-3"), None, "cap=-3"),
+        (("oracle", "cds", "--cap", "0"), None, "cap=0"),
+        (("oracle", "max", "--l", "3/2"), "abc", "COMFNET_ORACLE_CAP='abc'"),
+        (("oracle", "ratio", "--corpus", "cycles:7-8"), "0", "COMFNET_ORACLE_CAP=0"),
+        (("bench", "--sizes", "0"), None, "--sizes '0'"),
+        (("bench", "--sizes", "40,-2"), None, "--sizes '40,-2'"),
+        (("bench", "--sizes", "1e3"), None, "--sizes '1e3'"),
+    ],
+)
+def test_bad_cap_and_sizes_are_usage_errors(capsys, monkeypatch, c6_file, argv, env, named):
+    if env is not None:
+        monkeypatch.setenv("COMFNET_ORACLE_CAP", env)
+    if argv[0] == "oracle" and argv[1] != "ratio":
+        argv = (*argv, c6_file)
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload["error"]["code"] == "usage"
+    assert named in payload["error"]["message"]
+
+
 # --- error envelope and exit codes ------------------------------------------------------
 
 def test_missing_file_is_io_error(capsys):

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -68,6 +69,24 @@ def test_c8_run_extends_one_vertex():
     assert len(extends) == 1
     assert result.d1 == 3 and result.achieved_diameter == 3
     assert result.k == 2
+
+
+@pytest.mark.parametrize("g", [path_graph(7), cycle_graph(8), cycle_graph(11)], ids=["P7", "C8", "C11"])
+def test_construction_measures_each_grown_team_once(g, monkeypatch):
+    hicom_mod = importlib.import_module("comfnet.hicom")  # the package re-exports hicom()
+    measured = []
+    real = hicom_mod.induced_metrics
+
+    def counting(host, members):
+        measured.append(members)
+        return real(host, members)
+
+    monkeypatch.setattr(hicom_mod, "induced_metrics", counting)
+    result = hicom(g, L32)
+    assert "repair" not in {step.op for step in result.trace}
+    # the ball once, then once per extension; check_hc measures the team itself
+    assert len(measured) == 1 + sum(step.op == "extend" for step in result.trace)
+    assert len(set(measured)) == len(measured)
 
 
 def test_trace_replay(c6, p7):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,6 +143,18 @@ def test_cap_enforced():
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("COMFNET_ORACLE_CAP", "15")
     assert exact_min_team(path_graph(15), "comfortable").optimum == 13
+
+
+def test_exact_scan_holds_one_path_of_the_walk():
+    g = parse_edge_list((DATA / "no_team_n15.txt").read_text())
+    tracemalloc.start()
+    try:
+        answer = exact_max_team(g, "3/2", cap=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert answer.optimum is None
+    assert peak < 256 * 1024  # one size class of C(15, 7) subsets alone is ~3 MB
 
 
 def test_no_team_fixture_proven_infeasible():
