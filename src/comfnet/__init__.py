@@ -30,7 +30,6 @@ from .generators import (
     star_graph,
 )
 from .graphs import (
-    DistanceMatrix,
     EccentricityProfile,
     EdgeListParseError,
     Graph,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .graphs import Graph, UNREACHABLE, bfs, eccentricity_profile
+from .graphs import Graph, UNREACHABLE, bfs, eccentricities, eccentricity_profile
 
 
 @dataclass(frozen=True)
@@ -123,27 +123,21 @@ def _member_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
 
 
 def induced_metrics(g: Graph, members: frozenset[int]):
-    """(connected, induced diameter, per-member induced eccentricity).
+    """(connected, induced diameter, per-member induced eccentricity), the
+    eccentricities keyed in member order.
 
-    BFS over the adjacency restricted once to the member set, since every
-    member is a source; eccentricities are UNREACHABLE when some teammate
-    cannot be reached inside the team.
+    One BFS checks that the team is connected; ``eccentricities`` then runs
+    on the adjacency restricted to the members and renumbered 0..k-1. When
+    some teammate cannot be reached inside the team, the diameter and every
+    eccentricity are UNREACHABLE.
     """
-    adj_sub = {v: [w for w in g.adj[v] if w in members] for v in members}
-    ecc: dict[int, int] = {}
-    diameter = 0
-    connected = True
-    for src in sorted(members):
-        levels, order = bfs(adj_sub, (src,), g.n)
-        if len(order) < len(members):
-            connected = False
-            ecc[src] = UNREACHABLE
-            diameter = UNREACHABLE
-        else:
-            e = levels[order[-1]]
-            ecc[src] = e
-            diameter = max(diameter, e)
-    return connected, diameter, ecc
+    team = sorted(members)
+    index = {v: i for i, v in enumerate(team)}
+    adj = [[index[w] for w in g.adj[v] if w in index] for v in team]
+    if len(bfs(adj, (0,), len(team))[1]) < len(team):
+        return False, UNREACHABLE, dict.fromkeys(team, UNREACHABLE)
+    ecc = eccentricities(adj, len(team))
+    return True, max(ecc), dict(zip(team, ecc))
 
 
 class SubsetEvaluator:

@@ -3,27 +3,34 @@
 Vertices are dense 0-based indices. Human-facing labels (``v1`` .. ``vn``
 by default) live in a sidecar tuple on the graph and never enter the
 algorithms. Every hop count comes from one breadth-first kernel, ``bfs``,
-run from the sources a caller needs. Each graph caches one derived thing,
-its eccentricity profile; ``UNREACHABLE`` marks pairs in different
-components and is strictly larger than any real hop count, so max/min
-aggregations stay well defined on disconnected vertex sets.
+run from the sources a caller needs; ``eccentricities`` is the one
+all-sources computation, for the host and inside a team alike. Each graph
+caches one derived thing, its eccentricity profile; ``UNREACHABLE`` marks
+pairs in different components and is strictly larger than any real hop
+count, so max/min aggregations stay well defined on disconnected vertex
+sets. numpy is imported only by the functions that return arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 #: Sentinel hop distance for unreachable pairs. Strictly greater than any
 #: valid distance (a path has at most n - 1 hops); never 0 or -1.
 UNREACHABLE = 2**31 - 1
 
-#: Distance matrices are plain ``n x n`` int64 numpy arrays with
-#: ``UNREACHABLE`` entries for cross-component pairs.
-DistanceMatrix = np.ndarray
+#: Most sources one bit-parallel sweep carries. Each vertex then holds an
+#: int of up to CHUNK bits, so a sweep needs about n * CHUNK / 4 bytes.
+CHUNK = 1024
+
+#: One sweep level costs about as much as this many plain searches (a
+#: level visits every vertex and ORs its neighbours' ints); measured on
+#: G(n, p), grids and trees with n = 1000-2000.
+_LEVEL_COST = 3
 
 
 class EdgeListParseError(ValueError):
@@ -174,21 +181,127 @@ def bfs(
     return levels, order
 
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
+def bfs_distances(g: Graph, source: int) -> "numpy.ndarray":
     """Hop distances from ``source``; ``UNREACHABLE`` for other components."""
+    import numpy as np
+
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range for n={g.n}")
     return np.array(bfs(g.adj, (source,), g.n)[0], dtype=np.int64)
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Run one BFS per vertex; rows are emitted in vertex order.
+def all_pairs_distances(g: Graph) -> "numpy.ndarray":
+    """The ``n x n`` int64 distance matrix, ``UNREACHABLE`` across
+    components; one BFS per vertex, rows in vertex order."""
+    import numpy as np
 
-    Sequential and deterministic; per-source runs are independent, so the
-    matrix is bit-identical however the rows are scheduled.
-    """
     rows = [bfs(g.adj, (s,), g.n)[0] for s in range(g.n)]
     return np.array(rows, dtype=np.int64)
+
+
+def eccentricities(adj: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Exact eccentricities of a connected graph on ``0 .. n-1``.
+
+    Eccentricity bounds (Takes & Kosters, *Algorithms* 6(1), 2013): a
+    search from s with eccentricity e puts every vertex v at distance d
+    within max(d, e - d) <= ecc(v) <= e + d; v is settled once its bounds
+    meet. After a two-sweep start the sources alternate between the
+    largest upper bound and the smallest lower bound. When searches settle
+    too few of the vertices left, those are finished either by bit-parallel
+    sweeps of at most ``CHUNK`` sources, ``_sweep``, when the diameter seen
+    so far is small next to their number, or by one plain search each,
+    ``_plain`` (self-centred graphs such as cycles, where neither helps).
+    """
+    lo = [0] * n
+    up = [UNREACHABLE] * n
+    left = list(range(n))  # vertices whose bounds still differ
+    settled: list[int] = []  # how many each search settled
+    diameter = 0
+    source = max(range(n), key=lambda v: len(adj[v]))
+    while True:
+        levels, order = bfs(adj, (source,), n)
+        if len(order) < n:
+            raise ValueError("eccentricities need a connected graph")
+        e = levels[order[-1]]
+        diameter = max(diameter, e)
+        for v in left:
+            d = levels[v]
+            low = d if d > e - d else e - d
+            if low > lo[v]:
+                lo[v] = low
+            if e + d < up[v]:
+                up[v] = e + d
+        kept = [v for v in left if lo[v] < up[v]]
+        settled.append(len(left) - len(kept))
+        left = kept
+        if not left:
+            return lo
+        if len(settled) == 1:
+            source = order[-1]  # the second sweep starts at the farthest vertex
+            continue
+        # Finishing the rest costs about finish_cost searches. Bounding stops
+        # when its last four searches settled only their own sources, or
+        # once it has spent a quarter of that cost.
+        chunks = -(-len(left) // CHUNK)
+        sweep_cost = _LEVEL_COST * chunks * (diameter + 1)
+        finish_cost = min(sweep_cost, len(left))
+        if len(settled) >= 4 and (sum(settled[-4:]) <= 4 or 4 * len(settled) > finish_cost):
+            break
+        if len(settled) % 2:
+            source = max(left, key=up.__getitem__)
+        else:
+            source = min(left, key=lo.__getitem__)
+    if sweep_cost < len(left):
+        for part in (left[i::chunks] for i in range(chunks)):
+            for v, e in zip(part, _sweep(adj, n, part)):
+                lo[v] = e
+    else:
+        for v, e in zip(left, _plain(adj, n, left)):
+            lo[v] = e
+    return lo
+
+
+def _sweep(adj: Sequence[Sequence[int]], n: int, sources: Sequence[int]) -> list[int]:
+    """Eccentricities of up to ``CHUNK`` sources of a connected graph with
+    n >= 2, by bit-parallel BFS (Akiba, Iwata & Yoshida, SIGMOD 2013).
+
+    ``reach[v]`` holds bit i once source i has reached v; each level ORs
+    every unfinished vertex's neighbours' sets into its own. A source's
+    eccentricity is the level at which every vertex holds its bit.
+    """
+    everyone = (1 << len(sources)) - 1
+    reach = [0] * n
+    for i, s in enumerate(sources):
+        reach[s] = 1 << i
+    ecc = [0] * len(sources)
+    spreading = everyone
+    level = 0
+    while spreading:
+        level += 1
+        get = reach.__getitem__
+        grown = reach[:]
+        finished = spreading
+        for v, r in enumerate(reach):
+            if r != everyone:
+                r = reduce(or_, map(get, adj[v]), r)
+                grown[v] = r
+                finished &= r
+        reach = grown
+        spreading ^= finished
+        while finished:
+            low = finished & -finished
+            ecc[low.bit_length() - 1] = level
+            finished ^= low
+    return ecc
+
+
+def _plain(adj: Sequence[Sequence[int]], n: int, sources: Sequence[int]) -> list[int]:
+    """Eccentricities of ``sources`` by one search each."""
+    out = []
+    for s in sources:
+        levels, order = bfs(adj, (s,), n)
+        out.append(levels[order[-1]])
+    return out
 
 
 def eccentricity_profile(g: Graph) -> EccentricityProfile:
@@ -202,10 +315,7 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
         return g._profile
     if not g.is_connected():
         raise ValueError("graph is disconnected; analyze each component separately")
-    ecc = []
-    for s in range(g.n):
-        levels, order = bfs(g.adj, (s,), g.n)
-        ecc.append(levels[order[-1]])
+    ecc = eccentricities(g.adj, g.n)
     radius = min(ecc)
     diameter = max(ecc)
     a = diameter - radius
@@ -264,6 +374,8 @@ def graph_power(g: Graph, k: int) -> Graph:
     """Graph on the same vertices with an edge wherever 1 <= d(u,v) <= k."""
     if k < 1:
         raise ValueError(f"graph power requires k >= 1, got {k}")
+    import numpy as np
+
     dist = all_pairs_distances(g)
     iu = np.triu_indices(g.n, k=1)
     close = (dist[iu] >= 1) & (dist[iu] <= k)

@@ -1,12 +1,18 @@
-"""The BFS kernel, the cached eccentricity profile and the hop metrics
-built on them (shells, subset profiles, the connected-set walk, the
-power-graph reduction) against networkx.
+"""The BFS kernel, the cached eccentricity profile, induced team metrics
+and the hop metrics built on them (shells, subset profiles, the
+connected-set walk, the power-graph reduction) against networkx.
 
 networkx is a test-only reference; the module is skipped where it is not
-installed. Graphs are drawn straight from hypothesis, not from comfnet's
-generators, so the reference shares no code with what it checks.
+installed. Graphs are drawn straight from hypothesis or built by networkx,
+not by comfnet's generators, so the reference shares no code with what it
+checks. The graph families include those where eccentricity bounds settle
+almost nothing early (cycles, complete bipartite graphs, barbells,
+hypercubes), those where they settle most vertices (paths, grids, trees),
+lollipops, which join the two kinds, and narrow random graphs.
 """
 
+import math
+import random
 from itertools import combinations
 
 import pytest
@@ -21,7 +27,7 @@ from comfnet import (
     reduction_witness,
     shell,
 )
-from comfnet.criteria import SubsetEvaluator
+from comfnet.criteria import SubsetEvaluator, induced_metrics
 from comfnet.graphs import bfs
 
 nx = pytest.importorskip("networkx")
@@ -186,3 +192,116 @@ def test_connected_sets_are_the_connected_subsets(g, data):
     for m, closed, size in walked:
         assert size == len(m)
         assert closed == sum(1 << v for v in set(m).union(*(h[u] for u in m)))
+
+
+def from_nx(h, seed=None):
+    """comfnet Graph of a networkx graph, vertices renumbered in node order
+    or, with a seed, in a shuffled order."""
+    nodes = list(h.nodes)
+    if seed is not None:
+        random.Random(seed).shuffle(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    return Graph(len(nodes), [(index[u], index[v]) for u, v in h.edges])
+
+
+def random_tree(n, seed):
+    rng = random.Random(seed)
+    return nx.Graph([(rng.randrange(i), i) for i in range(1, n)])
+
+
+def connected_gnp(n, factor, seed):
+    """Connected G(n, p) with p = factor * ln n / n: narrow graphs."""
+    p = factor * math.log(n) / n
+    while not nx.is_connected(h := nx.gnp_random_graph(n, p, seed=seed)):
+        seed += 1000
+    return h
+
+
+# Cycles, complete bipartite graphs, barbells and hypercubes, where
+# eccentricity bounds settle almost nothing early; lollipops, a clique with
+# a path; paths, grids and random trees, where a few searches settle most
+# vertices; and narrow random graphs, which are swept many sources at once.
+FAMILIES = {
+    **{f"cycle-{n}": nx.cycle_graph(n) for n in (3, 4, 7, 10, 33, 64, 151, 200)},
+    **{f"K{a},{b}": nx.complete_bipartite_graph(a, b) for a, b in ((1, 1), (1, 6), (3, 3), (4, 9), (20, 30))},
+    **{f"barbell-{a}-{b}": nx.barbell_graph(a, b) for a, b in ((3, 0), (4, 2), (10, 5), (30, 40))},
+    **{f"Q{d}": nx.hypercube_graph(d) for d in (3, 4, 5, 6)},
+    **{f"lollipop-{a}-{b}": nx.lollipop_graph(a, b) for a, b in ((3, 1), (5, 8), (20, 60), (60, 20))},
+    **{f"path-{n}": nx.path_graph(n) for n in (1, 2, 3, 8, 57, 200)},
+    **{f"grid-{r}x{c}": nx.grid_2d_graph(r, c) for r, c in ((1, 9), (2, 2), (5, 7), (10, 10), (8, 25), (14, 14))},
+    **{f"tree-{n}-{s}": random_tree(n, s) for n, s in ((5, 1), (30, 2), (90, 3), (150, 4), (200, 5), (200, 6))},
+    **{f"gnp-{n}-{s}": connected_gnp(n, 2.5, s) for n, s in ((40, 1), (120, 2), (300, 3), (600, 4))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_eccentricity_profile_on_families(name):
+    h = FAMILIES[name]
+    for seed in (None, 1):
+        g = from_nx(h, seed)
+        expected = nx.eccentricity(as_nx(g))
+        prof = eccentricity_profile(g)
+        assert prof.eccentricity == tuple(expected[v] for v in range(g.n))
+        assert prof.center == tuple(v for v in range(g.n) if expected[v] == prof.radius)
+
+
+@st.composite
+def connected_member_sets(draw, g):
+    """A connected vertex set grown from one vertex by random neighbours."""
+    team = {draw(st.integers(0, g.n - 1))}
+    for _ in range(draw(st.integers(0, g.n - 1))):
+        frontier = sorted({w for v in team for w in g.adj[v]} - team)
+        if not frontier:
+            break
+        team.add(draw(st.sampled_from(frontier)))
+    return frozenset(team)
+
+
+def assert_induced_metrics_match(g, team):
+    sub = as_nx(g).subgraph(team)
+    connected, diameter, ecc = induced_metrics(g, team)
+    assert connected == nx.is_connected(sub)
+    assert list(ecc) == sorted(team)
+    if connected:
+        expected = nx.eccentricity(sub)
+        assert ecc == {v: expected[v] for v in sorted(team)}
+        assert diameter == max(expected.values())
+    else:
+        assert diameter == UNREACHABLE
+        assert set(ecc.values()) == {UNREACHABLE}
+
+
+@given(graphs(max_n=16), st.data())
+@settings(max_examples=80, deadline=None)
+def test_induced_metrics_match_networkx(g, data):
+    team = frozenset(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+    assert_induced_metrics_match(g, team)
+
+
+@given(graphs(max_n=40, connected=True), st.data())
+@settings(max_examples=80, deadline=None)
+def test_induced_metrics_on_connected_teams_match_networkx(g, data):
+    assert_induced_metrics_match(g, data.draw(connected_member_sets(g)))
+
+
+@pytest.mark.parametrize("name", ["grid-14x14", "tree-200-5", "lollipop-20-60", "gnp-300-3", "Q6"])
+def test_induced_metrics_on_family_balls(name):
+    """Balls around a vertex: the team shapes hicom grows."""
+    g = from_nx(FAMILIES[name], 7)
+    levels = bfs(g.adj, (0,), g.n)[0]
+    for radius in (1, 3, 6):
+        assert_induced_metrics_match(g, frozenset(v for v in range(g.n) if levels[v] <= radius))
+
+
+@given(graphs(max_n=30, connected=True), st.data())
+@settings(max_examples=60, deadline=None)
+def test_relabelling_permutes_eccentricities(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    moved = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    host, host_moved = eccentricity_profile(g), eccentricity_profile(moved)
+    assert all(host_moved.eccentricity[perm[v]] == e for v, e in enumerate(host.eccentricity))
+    team = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    connected, diameter, ecc = induced_metrics(g, frozenset(team))
+    connected_m, diameter_m, ecc_m = induced_metrics(moved, frozenset(perm[v] for v in team))
+    assert (connected_m, diameter_m) == (connected, diameter)
+    assert {perm[v]: e for v, e in ecc.items()} == ecc_m

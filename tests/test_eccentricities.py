@@ -1,0 +1,131 @@
+"""The eccentricity engine's three ways to finish, its memory bound, and
+the numpy-free import path.
+
+Which way ``eccentricities`` finishes is read from calls to ``_sweep``
+(one per bit-parallel chunk) and ``_plain`` (one per plain finish); a run
+that calls neither was settled by eccentricity bounds alone. Every answer
+is compared with one plain search per vertex.
+"""
+
+import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from comfnet import Graph, cycle_graph, path_graph
+from comfnet import graphs
+from comfnet.graphs import CHUNK, bfs, eccentricities
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def one_search_each(g):
+    out = []
+    for s in range(g.n):
+        levels, order = bfs(g.adj, (s,), g.n)
+        out.append(levels[order[-1]])
+    return out
+
+
+@pytest.fixture
+def finishes(monkeypatch):
+    """Record the sources of every ``_sweep`` and ``_plain`` call."""
+    calls = {"_sweep": [], "_plain": []}
+    for name, log in calls.items():
+        original = getattr(graphs, name)
+
+        def recorded(adj, n, sources, original=original, log=log):
+            log.append(list(sources))
+            return original(adj, n, sources)
+
+        monkeypatch.setattr(graphs, name, recorded)
+    return calls
+
+
+def grid(rows, cols):
+    edges = [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+    edges += [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)]
+    return Graph(rows * cols, edges)
+
+
+def narrow(n, seed):
+    """Connected sparse random graph: each vertex joins a random earlier
+    one, plus n random chords; its diameter grows like log n."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    edges |= {tuple(rng.sample(range(n), 2)) for _ in range(n)}
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize(
+    "g", [path_graph(500), grid(20, 30), grid(7, 90)], ids=["path-500", "grid-20x30", "grid-7x90"]
+)
+def test_bounds_alone_settle_paths_and_grids(g, finishes):
+    assert eccentricities(g.adj, g.n) == one_search_each(g)
+    assert finishes == {"_sweep": [], "_plain": []}
+
+
+def test_narrow_graphs_finish_in_bit_parallel_chunks(finishes, monkeypatch):
+    monkeypatch.setattr(graphs, "CHUNK", 64)
+    g = narrow(400, 1)
+    assert eccentricities(g.adj, g.n) == one_search_each(g)
+    assert finishes["_plain"] == []
+    sizes = [len(sources) for sources in finishes["_sweep"]]
+    assert len(sizes) >= 2 and max(sizes) <= 64
+    assert max(sizes) - min(sizes) <= 1  # the chunks are balanced
+
+
+def test_cycles_finish_one_search_per_vertex(finishes):
+    g = cycle_graph(1300)  # more vertices than CHUNK, so sweeps would cost more
+    assert g.n > CHUNK
+    assert eccentricities(g.adj, g.n) == one_search_each(g)
+    assert finishes["_sweep"] == []
+    assert len(finishes["_plain"]) == 1 and len(finishes["_plain"][0]) > g.n - 10
+
+
+def test_small_graphs():
+    assert eccentricities(((),), 1) == [0]
+    assert eccentricities(((1,), (0,)), 2) == [1, 1]
+    with pytest.raises(ValueError, match="connected"):
+        eccentricities(((1,), (0,), ()), 3)
+
+
+def test_sweeps_stay_far_below_a_dense_bitset(finishes):
+    """K_{2,n-2}: diameter 2 and no vertex settled by bounds, so all but a
+    few vertices are swept, CHUNK sources at a time; two levels per sweep
+    keep the test to a few seconds under tracemalloc."""
+    n = 10_000
+    g = Graph(n, [(a, b) for a in (0, 1) for b in range(2, n)])
+    tracemalloc.start()
+    try:
+        ecc = eccentricities(g.adj, g.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ecc == [2] * n
+    assert len(finishes["_sweep"]) >= 4
+    assert max(len(sources) for sources in finishes["_sweep"]) <= CHUNK
+    assert peak * 4 <= n * n / 8, f"peak {peak} B against a dense bitset of {n * n // 8} B"
+
+
+def test_cli_paths_load_no_numpy(tmp_path):
+    graph = tmp_path / "c6.txt"
+    graph.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
+    script = (
+        "import sys, contextlib, io\n"
+        "import comfnet.cli\n"
+        "assert 'numpy' not in sys.modules, 'import comfnet.cli loaded numpy'\n"
+        "g = sys.argv[1]\n"
+        "for argv in (['analyze', g], ['hicom', '--l', '3/2', g], ['oracle', 'cds', g]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert comfnet.cli.run(argv) == 0\n"
+        "    assert 'numpy' not in sys.modules, f'{argv[0]} loaded numpy'\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(graph)],
+        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
