@@ -22,7 +22,8 @@ print(f"radius {profile.radius}, diameter {profile.diameter}, "
       f"center {[p6.labels[v] for v in profile.center]}, class {profile.class_label}")
 
 print("\nAll-pairs hop distances, computed on request (the graph caches only its profile):")
-print(all_pairs_distances(p6))
+for row in all_pairs_distances(p6):
+    print(" ", *row)
 
 print("\nShells around the central vertex v3 partition the graph:")
 for j in range(profile.eccentricity[2] + 1):

@@ -2,8 +2,8 @@
 
 Output is JSON on stdout with sorted keys, so fixed inputs and seeds give
 byte-identical bytes across runs (bench wall-clock fields excepted).
-Exit codes: 0 success, 1 usage/parse problems, 2 infeasible (no team / no
-optimum exists), 3 internal errors.
+Exit codes: 0 success, 1 usage/parse problems and inputs too large for
+memory, 2 infeasible (no team / no optimum exists), 3 internal errors.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import sys
 import time
 from fractions import Fraction
@@ -298,14 +299,11 @@ def cmd_bench(args, l: Fraction | None) -> int:
             }
         )
     slopes = {}
-    if len(sizes) >= 2:
-        import numpy as np
-
-        logs = np.log([run["n"] for run in runs])
+    if len(set(sizes)) >= 2:  # a slope needs two distinct sizes
+        logs = [math.log(run["n"]) for run in runs]
         for key in ("apsp_seconds", "hicom_seconds", "total_seconds"):
-            slopes[key.replace("_seconds", "")] = float(
-                np.polyfit(logs, np.log([max(run[key], 1e-9) for run in runs]), 1)[0]
-            )
+            times = [math.log(max(run[key], 1e-9)) for run in runs]
+            slopes[key.replace("_seconds", "")] = statistics.linear_regression(logs, times).slope
     _emit({"l": args.l, "seed": args.seed, "runs": runs, "slopes": slopes})
     return EXIT_OK
 
@@ -397,7 +395,7 @@ def run(argv=None) -> int:
     try:
         l = parse_l(args.l) if getattr(args, "l", None) is not None else None
         if hasattr(args, "cap"):
-            args.cap = oracle_cap(args.cap)  # --cap or COMFNET_ORACLE_CAP, checked up front
+            args.cap = oracle_cap(args.cap)  # checked up front
         return args.func(args, l)
     except EdgeListParseError as exc:
         return _emit_error("parse", str(exc), EXIT_USAGE)
@@ -407,6 +405,8 @@ def run(argv=None) -> int:
         return _emit_error("usage", str(exc), EXIT_USAGE)
     except OSError as exc:
         return _emit_error("io", str(exc), EXIT_USAGE)
+    except MemoryError:
+        return _emit_error("resource", "out of memory; the input is too large", EXIT_USAGE)
     except Exception as exc:  # pragma: no cover - defensive envelope
         return _emit_error("internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
 

@@ -8,7 +8,7 @@ all-sources computation, for the host and inside a team alike. Each graph
 caches one derived thing, its eccentricity profile; ``UNREACHABLE`` marks
 pairs in different components and is strictly larger than any real hop
 count, so max/min aggregations stay well defined on disconnected vertex
-sets. numpy is imported only by the functions that return arrays.
+sets. Distances come back as plain lists of ints.
 """
 
 from __future__ import annotations
@@ -181,22 +181,17 @@ def bfs(
     return levels, order
 
 
-def bfs_distances(g: Graph, source: int) -> "numpy.ndarray":
+def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from ``source``; ``UNREACHABLE`` for other components."""
-    import numpy as np
-
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range for n={g.n}")
-    return np.array(bfs(g.adj, (source,), g.n)[0], dtype=np.int64)
+    return bfs(g.adj, (source,), g.n)[0]
 
 
-def all_pairs_distances(g: Graph) -> "numpy.ndarray":
-    """The ``n x n`` int64 distance matrix, ``UNREACHABLE`` across
-    components; one BFS per vertex, rows in vertex order."""
-    import numpy as np
-
-    rows = [bfs(g.adj, (s,), g.n)[0] for s in range(g.n)]
-    return np.array(rows, dtype=np.int64)
+def all_pairs_distances(g: Graph) -> list[list[int]]:
+    """The ``n x n`` distance rows, ``UNREACHABLE`` across components; one
+    BFS per vertex, rows in vertex order."""
+    return [bfs(g.adj, (s,), g.n)[0] for s in range(g.n)]
 
 
 def eccentricities(adj: Sequence[Sequence[int]], n: int) -> list[int]:
@@ -371,15 +366,14 @@ def induced_subgraph(g: Graph, members: Iterable[int]) -> Induced:
 
 
 def graph_power(g: Graph, k: int) -> Graph:
-    """Graph on the same vertices with an edge wherever 1 <= d(u,v) <= k."""
+    """Graph on the same vertices with an edge wherever 1 <= d(u,v) <= k;
+    one BFS per vertex, so it holds O(n + edges) rather than a matrix."""
     if k < 1:
         raise ValueError(f"graph power requires k >= 1, got {k}")
-    import numpy as np
-
-    dist = all_pairs_distances(g)
-    iu = np.triu_indices(g.n, k=1)
-    close = (dist[iu] >= 1) & (dist[iu] <= k)
-    edges = list(zip(iu[0][close].tolist(), iu[1][close].tolist()))
+    edges = []
+    for u in range(g.n):
+        levels, order = bfs(g.adj, (u,), g.n)
+        edges.extend((u, w) for w in order if w > u and levels[w] <= k)
     return Graph(g.n, edges, labels=g.labels)
 
 

@@ -21,7 +21,6 @@ from .criteria import (
     SubsetEvaluator,
     TeamCandidate,
     TeamReport,
-    as_fraction,
     bc_target,
     check_hc,
     domination_radius,
@@ -596,7 +595,7 @@ def two_hc_feasibility(g: Graph) -> FeasibilityPrediction:
 def extend_to_max(g: Graph, result: HicomResult | TeamCandidate, l) -> TeamCandidate:
     """Greedy maximization: keep adding the lowest-index vertex whose
     addition preserves all four HC conditions; stops at a fixpoint."""
-    frac = as_fraction(l)
+    frac = parse_l(l)
     base = result.team.members if isinstance(result, HicomResult) else result.members
     members = set(base)
     changed = True
@@ -627,7 +626,7 @@ def self_centered_direct_substitution(diameter: int, l=Fraction(3, 2)) -> Direct
     """Evaluate the accessibility bound for a self-centered graph of the
     given diameter (r = diam): d1 = ceil(diam/l), x = floor(d1/2),
     k = r - x, and the comparison of k against d1."""
-    frac = as_fraction(l)
+    frac = parse_l(l)
     d1 = math.ceil(Fraction(diameter) / frac)
     x = d1 // 2
     k_bound = diameter - x

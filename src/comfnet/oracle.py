@@ -14,17 +14,15 @@ comfortable team, and the enumerator proves it by exhaustion.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .criteria import SubsetEvaluator, as_fraction, bc_target
+from .criteria import SubsetEvaluator, bc_target, parse_l
 from .graphs import Graph, bfs, eccentricity_profile, graph_digest, graph_power
 from .hicom import BoundCheck, HicomError, hicom
 
 DEFAULT_CAP = 14
-_CAP_ENV = "COMFNET_ORACLE_CAP"
 
 KINDS = ("comfortable", "bc", "hc", "cds")
 
@@ -81,21 +79,12 @@ class RatioRecord:
 
 
 def oracle_cap(cap: int | None = None) -> int:
-    """The largest n the exhaustive scans accept: ``cap``, else the
-    ``COMFNET_ORACLE_CAP`` environment variable, else ``DEFAULT_CAP``.
-    ValueError, naming the input, unless it is an integer of at least 1."""
-    name = "cap"
+    """The largest n the exhaustive scans accept: ``cap``, else
+    ``DEFAULT_CAP``. ValueError unless it is an integer of at least 1."""
     if cap is None:
-        env = os.environ.get(_CAP_ENV)
-        if not env:
-            return DEFAULT_CAP
-        name = _CAP_ENV
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"{_CAP_ENV}={env!r} is not an integer") from None
+        return DEFAULT_CAP
     if cap < 1:
-        raise ValueError(f"oracle cap must be at least 1, got {name}={cap}")
+        raise ValueError(f"oracle cap must be at least 1, got cap={cap}")
     return cap
 
 
@@ -103,8 +92,7 @@ def _check_cap(g: Graph, cap: int | None) -> None:
     limit = oracle_cap(cap)
     if g.n > limit:
         raise ValueError(
-            f"oracle cap exceeded: n={g.n} > {limit} "
-            f"(raise the cap argument or {_CAP_ENV} to override)"
+            f"oracle cap exceeded: n={g.n} > {limit} (raise the cap argument to override)"
         )
 
 
@@ -198,7 +186,7 @@ def exact_min_team(g: Graph, kind: str, l=None, cap: int | None = None) -> Oracl
     frac = None
     target = None
     if kind in ("bc", "hc"):
-        frac = as_fraction(l)
+        frac = parse_l(l)
         target = bc_target(g, frac)
     ev = SubsetEvaluator(g)
     return _scan(kind, frac, ev, _kind_test(ev, kind, target), range(1, g.n))
@@ -209,7 +197,7 @@ def exact_max_team(g: Graph, l, cap: int | None = None) -> OracleAnswer:
     if not g.is_connected():
         raise ValueError("oracle requires a connected graph")
     _check_cap(g, cap)
-    frac = as_fraction(l)
+    frac = parse_l(l)
     ev = SubsetEvaluator(g)
     test = _kind_test(ev, "hc", bc_target(g, frac))
     return _scan("hc-max", frac, ev, test, range(g.n - 1, 0, -1))
@@ -268,7 +256,7 @@ def ratio_experiment(corpus: Iterable[Graph], l, cap: int | None = None):
     no team are skipped with a note. A heuristic success on a graph the
     oracle calls infeasible is a contract violation and raises.
     """
-    frac = as_fraction(l)
+    frac = parse_l(l)
     records: list[RatioRecord] = []
     skipped: list[dict] = []
     for g in corpus:
@@ -318,7 +306,7 @@ def bound_sweep(corpus: Iterable[Graph], l, cap: int | None = None):
     """Check l(k*-1) <= diam(G) <= l(2k*+1)/(l-1) with the oracle-minimal
     dispersion index on every feasible graph; infeasible graphs are
     skipped with a note."""
-    frac = as_fraction(l)
+    frac = parse_l(l)
     checks: list[BoundCheck] = []
     skipped: list[dict] = []
     for g in corpus:

@@ -1,6 +1,7 @@
 """The BFS kernel, the cached eccentricity profile, induced team metrics
 and the hop metrics built on them (shells, subset profiles, the
-connected-set walk, the power-graph reduction) against networkx.
+connected-set walk, graph powers, the power-graph reduction) against
+networkx.
 
 networkx is a test-only reference; the module is skipped where it is not
 installed. Graphs are drawn straight from hypothesis or built by networkx,
@@ -24,6 +25,7 @@ from comfnet import (
     UNREACHABLE,
     domination_radius,
     eccentricity_profile,
+    graph_power,
     reduction_witness,
     shell,
 )
@@ -149,6 +151,15 @@ def test_shell_matches_networkx(g, data):
     j = data.draw(st.integers(0, g.n))
     lengths = nx.single_source_shortest_path_length(as_nx(g), v)
     assert shell(g, v, j) == {u for u, d in lengths.items() if d == j}
+
+
+@given(graphs(max_n=16), st.integers(1, 5))
+@settings(max_examples=80, deadline=None)
+def test_graph_power_matches_networkx(g, k):
+    power = graph_power(g, k)
+    expected = {tuple(sorted(e)) for e in nx.power(as_nx(g), k).edges}
+    assert power.edges == expected
+    assert power.labels == g.labels
 
 
 @given(graphs(), st.data())

@@ -1,5 +1,5 @@
 """The eccentricity engine's three ways to finish, its memory bound, and
-the numpy-free import path.
+a run of every subcommand where numpy cannot be imported.
 
 Which way ``eccentricities`` finishes is read from calls to ``_sweep``
 (one per bit-parallel chunk) and ``_plain`` (one per plain finish); a run
@@ -112,20 +112,39 @@ def test_sweeps_stay_far_below_a_dense_bitset(finishes):
 
 
 def test_cli_paths_load_no_numpy(tmp_path):
+    """Every subcommand and the distance functions run where numpy cannot
+    be imported at all."""
     graph = tmp_path / "c6.txt"
     graph.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
+    team = tmp_path / "team.txt"
+    team.write_text("v1\nv2\nv3\n")
     script = (
         "import sys, contextlib, io\n"
-        "import comfnet.cli\n"
-        "assert 'numpy' not in sys.modules, 'import comfnet.cli loaded numpy'\n"
-        "g = sys.argv[1]\n"
-        "for argv in (['analyze', g], ['hicom', '--l', '3/2', g], ['oracle', 'cds', g]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert comfnet.cli.run(argv) == 0\n"
-        "    assert 'numpy' not in sys.modules, f'{argv[0]} loaded numpy'\n"
+        "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        "import comfnet\n"
+        "from comfnet.cli import run\n"
+        "g, team, out = sys.argv[1:]\n"
+        "commands = [\n"
+        "    ['analyze', g], ['hicom', '--l', '3/2', '--max', g],\n"
+        "    ['verify', '--l', '3/2', '--team', team, g],\n"
+        "    ['oracle', 'min', '--kind', 'hc', '--l', '3/2', g],\n"
+        "    ['oracle', 'max', '--l', '3/2', g], ['oracle', 'cds', g],\n"
+        "    ['oracle', 'ratio', '--corpus', 'cycles:7-8'],\n"
+        "    ['oracle', 'bounds', '--corpus', 'cycles:6-7'],\n"
+        "    ['gen', 'gnp', '20', '--p', '0.3', '--connected', '-o', out],\n"
+        "    ['bench', '--sizes', '30,40'],\n"
+        "]\n"
+        "for argv in commands:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+        "        code = run(argv)\n"
+        "    assert code == 0, (argv, code, text.getvalue())\n"
+        "c6 = comfnet.cycle_graph(6)\n"
+        "assert comfnet.bfs_distances(c6, 0) == [0, 1, 2, 3, 2, 1]\n"
+        "assert comfnet.all_pairs_distances(c6)[3] == [3, 2, 1, 0, 1, 2]\n"
+        "assert comfnet.graph_power(c6, 3).m == 15\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script, str(graph)],
-        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", script, str(graph), str(team), str(tmp_path / "gen.txt")],
+        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

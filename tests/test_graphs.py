@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,16 +132,16 @@ def test_default_labels_and_lookup(p6):
 # --- distances ---------------------------------------------------------------
 
 def test_bfs_p6_row(p6):
-    assert bfs_distances(p6, 0).tolist() == [0, 1, 2, 3, 4, 5]
+    assert bfs_distances(p6, 0) == [0, 1, 2, 3, 4, 5]
 
 
 def test_bfs_c6_multiset(c6):
-    assert sorted(bfs_distances(c6, 2).tolist()) == [0, 1, 1, 2, 2, 3]
+    assert sorted(bfs_distances(c6, 2)) == [0, 1, 1, 2, 2, 3]
 
 
 def test_bfs_triangle():
     g = parse_edge_list("3 3\n0 1\n1 2\n0 2")
-    assert bfs_distances(g, 0).tolist() == [0, 1, 1]
+    assert bfs_distances(g, 0) == [0, 1, 1]
 
 
 def test_bfs_source_out_of_range(p6):
@@ -150,19 +152,19 @@ def test_bfs_source_out_of_range(p6):
 def test_all_pairs_p6_corner(p6):
     dist = all_pairs_distances(p6)
     assert dist[0][5] == 5
-    assert (dist == dist.T).all()
+    assert dist == [list(column) for column in zip(*dist)]
 
 
 def test_all_pairs_matches_floyd_warshall_fixed():
     g = gnp(8, 0.5, seed=1)
-    assert (all_pairs_distances(g) == floyd_warshall(g)).all()
+    assert all_pairs_distances(g) == floyd_warshall(g).tolist()
 
 
 @given(st.integers(2, 10), st.floats(0.1, 0.9), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_all_pairs_matches_floyd_warshall_property(n, p, seed):
     g = gnp(n, p, seed=seed)
-    assert (all_pairs_distances(g) == floyd_warshall(g)).all()
+    assert all_pairs_distances(g) == floyd_warshall(g).tolist()
 
 
 def test_unreachable_sentinel_dominates_real_distances():
@@ -226,7 +228,7 @@ def test_radius_diameter_sandwich(g):
 def test_eccentricity_two_ways(g):
     # profile values must equal row-wise maxima of the distance matrix
     prof = eccentricity_profile(g)
-    assert list(prof.eccentricity) == all_pairs_distances(g).max(axis=1).tolist()
+    assert list(prof.eccentricity) == [max(row) for row in all_pairs_distances(g)]
 
 
 # --- shells -------------------------------------------------------------------
@@ -311,6 +313,18 @@ def test_power_c6_cubed_complete(c6):
 def test_power_rejects_k_zero(c6):
     with pytest.raises(ValueError):
         graph_power(c6, 0)
+
+
+def test_power_never_holds_a_dense_distance_matrix():
+    g = path_graph(500)
+    tracemalloc.start()
+    try:
+        squared = graph_power(g, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert squared.m == 2 * g.n - 3
+    assert peak * 4 <= g.n * g.n * 8  # a quarter of one n x n int64 matrix
 
 
 @given(connected_graphs())

@@ -14,15 +14,19 @@ from comfnet import (
     NoFeasibleTeam,
     RepairFailed,
     bfs_distances,
+    bound_sweep,
     check_hc,
     complete_graph,
     cycle_graph,
     eccentricity_profile,
+    exact_max_team,
+    exact_min_team,
     extend_to_max,
     hicom,
     is_dominating,
     parse_edge_list,
     path_graph,
+    ratio_experiment,
     repair,
     replay_trace,
     self_centered_direct_substitution,
@@ -123,9 +127,20 @@ def test_degenerate_params(c6):
 def test_l_validation(c6, p6):
     with pytest.raises(ValueError):
         hicom(c6, 1)
-    for malformed in ("1/0", "abc"):
-        with pytest.raises(ValueError, match="cannot parse"):
-            hicom(c6, malformed)
+    c8 = cycle_graph(8)
+    entry_points = (
+        lambda l: hicom(c6, l),
+        lambda l: exact_min_team(c8, "hc", l),
+        lambda l: exact_max_team(c8, l),
+        lambda l: ratio_experiment([c8], l),
+        lambda l: bound_sweep([c8], l),
+        lambda l: extend_to_max(c6, hicom(c6, L32), l),
+        lambda l: self_centered_direct_substitution(5, l),
+    )
+    for call in entry_points:
+        for malformed in ("1/0", "abc"):
+            with pytest.raises(ValueError, match="cannot parse"):
+                call(malformed)
     with pytest.raises(ValueError, match="allow_large_l"):
         hicom(p6, Fraction(5, 2))
     with pytest.warns(UserWarning, match="not guaranteed"):

@@ -140,11 +140,6 @@ def test_cap_enforced():
     assert answer.optimum == 13
 
 
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("COMFNET_ORACLE_CAP", "15")
-    assert exact_min_team(path_graph(15), "comfortable").optimum == 13
-
-
 def test_exact_scan_holds_one_path_of_the_walk():
     g = parse_edge_list((DATA / "no_team_n15.txt").read_text())
     tracemalloc.start()
