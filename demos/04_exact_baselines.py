@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Exhaustive ground truth on small graphs, and how the heuristic compares.
 
-The oracle enumerates vertex subsets by cardinality, so its answers are
-exact: minimum comfortable / BC / HC teams, maximum HC teams, and minimum
-connected dominating sets. Infeasibility is an answer too, proven by
-exhaustion.
+The oracle walks every connected vertex set up to the sizes it needs,
+skipping only sets that hold a pair of vertices too far apart to share a
+team, so its answers are exact: minimum comfortable / BC / HC teams,
+maximum HC teams, and minimum connected dominating sets. Infeasibility is
+an answer too, proven by exhaustion.
 """
 
 from fractions import Fraction

@@ -148,6 +148,7 @@ class SubsetEvaluator:
     scan pays only for the conditions a subset reaches."""
 
     def __init__(self, g: Graph):
+        self.adj = g.adj
         self.ecc = eccentricity_profile(g).eccentricity
         self.nbr = tuple(sum(1 << w for w in nbrs) for nbrs in g.adj)
         self.full = (1 << g.n) - 1
@@ -156,7 +157,25 @@ class SubsetEvaluator:
     def members(self, mask: int) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if mask >> v & 1)
 
-    def connected_sets(self, limit):
+    def conflicts(self, target: int | None = None) -> tuple[int, ...]:
+        """Per vertex v, the mask of the vertices u with d(u, v) >=
+        min(ecc(u), ecc(v), target + 1), from one search per vertex.
+
+        An induced distance is never shorter than the host distance, so in
+        any vertex set holding such a pair, u or v has an induced
+        eccentricity that reaches its host eccentricity or passes
+        ``target``: the set fails less-dispersiveness or the diameter
+        ceiling, and so does every set that contains it."""
+        ecc, n = self.ecc, self.n
+        ceiling = UNREACHABLE if target is None else target + 1
+        out = []
+        for v in range(n):
+            levels = bfs(self.adj, (v,), n)[0]
+            reach = min(ecc[v], ceiling)
+            out.append(sum(1 << u for u in range(n) if levels[u] >= min(reach, ecc[u])))
+        return tuple(out)
+
+    def connected_sets(self, limit, conflicts: tuple[int, ...] | None = None):
         """Depth-first ESU walk (Wernicke, IEEE/ACM TCBB 3(4), 2006): yield
         ``(mask, closed neighbourhood mask, size)`` for every connected
         vertex set of at most ``limit()`` vertices, each exactly once.
@@ -164,8 +183,13 @@ class SubsetEvaluator:
         The sets rooted at v are those whose smallest vertex is v; a set
         grows only by vertices above v that neighbour the newest member and
         nothing before it. The stack holds one path of the walk. ``limit``
-        is read again before every step down, so a caller may lower it."""
+        is read again before every step down, so a caller may lower it.
+        Given the masks of ``conflicts``, a step that adds a vertex
+        conflicting with the set is skipped with its whole subtree, whose
+        sets all hold that pair, so only sets free of conflicting pairs
+        are yielded."""
         nbr = self.nbr
+        clash = (0,) * self.n if conflicts is None else conflicts
         if limit() < 1:
             return
         for v in range(self.n):
@@ -181,7 +205,10 @@ class SubsetEvaluator:
                 low = ext & -ext
                 ext ^= low
                 stack[-1] = (sub, ext, closed)
-                w = nbr[low.bit_length() - 1]
+                u = low.bit_length() - 1
+                if clash[u] & sub:
+                    continue
+                w = nbr[u]
                 child = (sub | low, ext | (w & above & ~closed), closed | w)
                 yield child[0], child[2], len(stack) + 1
                 stack.append(child)

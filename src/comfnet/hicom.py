@@ -432,14 +432,13 @@ def _attempt(g: Graph, prof, params: HcParams, v: int) -> HicomResult:
     d1 = params.d1
     x = d1 // 2
     dist_row = bfs(g.adj, (v,), g.n)[0]
-    trace: list[TraceStep] = []
-    members: set[int] = set()
-    for j in range(x + 1):
-        shell_j = tuple(u for u in range(g.n) if dist_row[u] == j)
-        members.update(shell_j)
-        trace.append(TraceStep("ball", j, shell_j))
+    shells: list[list[int]] = [[] for _ in range(x + 1)]
+    for u, d in enumerate(dist_row):
+        if d <= x:
+            shells[d].append(u)
+    trace = [TraceStep("ball", j, tuple(shell)) for j, shell in enumerate(shells)]
 
-    frozen = frozenset(members)
+    frozen = frozenset(u for shell in shells for u in shell)
     _, cur_diam, ind_ecc = induced_metrics(g, frozen)
     unreached = False
     i = x

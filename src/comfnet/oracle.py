@@ -7,6 +7,12 @@ cardinality wins (the largest, for maximization); within it the minimal
 domination radius is the secondary objective and lexicographic order
 breaks remaining ties. ``enumerated`` counts every subset of the
 cardinalities scanned, connected or not.
+The team scans also skip every set that holds a conflicting pair: two
+vertices whose host distance reaches the eccentricity of either one, or
+passes the induced-diameter ceiling. An induced distance is never shorter
+than the host distance, so such a set and all its supersets fail the
+team test, and skipping them leaves every answer as it was. The CDS scan
+has no such condition and walks every connected set.
 Infeasibility is a first-class answer: whole graph families admit no
 comfortable team, and the enumerator proves it by exhaustion.
 """
@@ -141,12 +147,16 @@ def _kind_test(ev: SubsetEvaluator, kind: str, target: int | None):
     return {"cds": cds, "comfortable": comfortable, "bc": bc, "hc": hc}[kind]
 
 
-def _scan(kind: str, l, ev: SubsetEvaluator, test, sizes: range) -> OracleAnswer:
+def _scan(
+    kind: str, l, ev: SubsetEvaluator, test, sizes: range, conflicts=None
+) -> OracleAnswer:
     """The best connected set ``test`` passes among the sizes in ``sizes``:
     the first such size in that order, then the minimal k, then the
     lexicographically first witness. ``enumerated`` counts every subset of
     the sizes scanned up to the optimum, connected or not. Once a size is
-    found, a walk for the smallest goes no deeper."""
+    found, a walk for the smallest goes no deeper. ``conflicts`` (from
+    ``SubsetEvaluator.conflicts``) lets the walk skip sets that ``test``
+    must reject."""
     largest = sizes.step < 0
     max_size = max(sizes, default=0)
     best = None  # (size rank in scan order, k, witness)
@@ -154,7 +164,7 @@ def _scan(kind: str, l, ev: SubsetEvaluator, test, sizes: range) -> OracleAnswer
     def limit():
         return max_size if best is None or largest else best[0]
 
-    for mask, closed, size in ev.connected_sets(limit):
+    for mask, closed, size in ev.connected_sets(limit, conflicts):
         rank = -size if largest else size
         if best is not None and rank > best[0]:
             continue
@@ -189,7 +199,8 @@ def exact_min_team(g: Graph, kind: str, l=None, cap: int | None = None) -> Oracl
         frac = parse_l(l)
         target = bc_target(g, frac)
     ev = SubsetEvaluator(g)
-    return _scan(kind, frac, ev, _kind_test(ev, kind, target), range(1, g.n))
+    test = _kind_test(ev, kind, target)
+    return _scan(kind, frac, ev, test, range(1, g.n), ev.conflicts(target))
 
 
 def exact_max_team(g: Graph, l, cap: int | None = None) -> OracleAnswer:
@@ -198,9 +209,10 @@ def exact_max_team(g: Graph, l, cap: int | None = None) -> OracleAnswer:
         raise ValueError("oracle requires a connected graph")
     _check_cap(g, cap)
     frac = parse_l(l)
+    target = bc_target(g, frac)
     ev = SubsetEvaluator(g)
-    test = _kind_test(ev, "hc", bc_target(g, frac))
-    return _scan("hc-max", frac, ev, test, range(g.n - 1, 0, -1))
+    test = _kind_test(ev, "hc", target)
+    return _scan("hc-max", frac, ev, test, range(g.n - 1, 0, -1), ev.conflicts(target))
 
 
 def exact_min_cds(g: Graph, cap: int | None = None) -> OracleAnswer:

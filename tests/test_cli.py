@@ -380,3 +380,30 @@ def test_bench_smoke(capsys, monkeypatch):
     # the timed hicom runs no all-pairs BFS and finds the host profile warm
     assert apsp_calls_per_hicom == [0, 0]
     assert profiles_cached == [True, True]
+
+
+def test_analyze_and_oracle_scans_load_no_hashlib(c6_file):
+    """Only ``graph_digest`` needs hashlib, and loading it (OpenSSL) costs
+    megabytes of RSS, so ``analyze`` and the three oracle scans never
+    import it."""
+    script = (
+        "import sys, contextlib, io\n"
+        "from comfnet.cli import run\n"
+        "g = sys.argv[1]\n"
+        "commands = [\n"
+        "    ['analyze', g], ['oracle', 'min', '--kind', 'comfortable', g],\n"
+        "    ['oracle', 'min', '--kind', 'hc', '--l', '3/2', g],\n"
+        "    ['oracle', 'max', '--l', '3/2', g], ['oracle', 'cds', g],\n"
+        "]\n"
+        "for argv in commands:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+        "        code = run(argv)\n"
+        "    assert code in (0, 2), (argv, code, text.getvalue())\n"
+        "loaded = sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, c6_file],
+        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -8,11 +8,18 @@ G(n, p), a hypercube, cliques joined by paths), which are swept many
 sources at a time. For each graph the directory holds the stdout of
 ``analyze`` and of ``hicom --l 3/2``, and ``codes.json`` their exit codes.
 
+It also holds the exact oracle's answers (``oracle min`` for three kinds,
+``oracle max`` and ``oracle cds``, all at ``--cap 22``) on eight graphs of
+15 to 24 vertices whose scans must be exhaustive or long: the two no-team
+fixtures, two dense G(15, 0.35) samples (seed 1507 has no comfortable
+team), C18, a random tree of 18 vertices, a 4x6 grid and a sparse G(22).
+
 Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
+import heapq
 import io
 import json
 import math
@@ -23,9 +30,18 @@ import pytest
 
 from comfnet.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden"
 
 COMMANDS = {"analyze": ("analyze",), "hicom": ("hicom", "--l", "3/2")}
+
+ORACLE_COMMANDS = {
+    "oracle-min-comfortable": ("oracle", "min", "--kind", "comfortable", "--cap", "22"),
+    "oracle-min-hc": ("oracle", "min", "--kind", "hc", "--l", "3/2", "--cap", "22"),
+    "oracle-min-bc": ("oracle", "min", "--kind", "bc", "--l", "2", "--cap", "22"),
+    "oracle-max": ("oracle", "max", "--l", "3/2", "--cap", "22"),
+    "oracle-cds": ("oracle", "cds", "--cap", "22"),
+}
 
 
 def _path(n, offset=0):
@@ -84,6 +100,47 @@ def _bipartite(a, b):
     return [(i, a + j) for i in range(a) for j in range(b)]
 
 
+def _gnp_fixed(n, p, seed):
+    """G(n, p) by geometric skipping over the n(n-1)/2 vertex pairs; not
+    forced connected."""
+    rng = random.Random(seed)
+    edges = []
+    log_q = math.log(1.0 - p)
+    v, w = 1, -1
+    while v < n:
+        w += 1 + int(math.log(1.0 - rng.random()) / log_q)
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            edges.append((w, v))
+    return edges
+
+
+def _pruefer_tree(n, seed):
+    """Uniform random labelled tree, decoded from a random Pruefer sequence."""
+    rng = random.Random(seed)
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    return edges + [(heapq.heappop(leaves), heapq.heappop(leaves))]
+
+
+def _fixture(name):
+    rows = [line.split() for line in (DATA / name).read_text().splitlines() if line.strip()]
+    return int(rows[0][0]), [(int(u), int(v)) for u, v in rows[1:]]
+
+
 def _shuffled(n, edges, seed):
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
@@ -105,6 +162,18 @@ GRAPHS = {
     "path-20-and-cycle-30": (50, _shuffled(50, _path(20) + _cycle(30, 20), 10)),
 }
 
+#: name -> (n, edges) for the oracle queries; every graph is connected
+ORACLE_GRAPHS = {
+    "no-team-n15": _fixture("no_team_n15.txt"),
+    "no-team-n16": _fixture("no_team_n16.txt"),
+    "gnp15-1501": (15, _gnp_fixed(15, 0.35, 1501)),
+    "gnp15-1507": (15, _gnp_fixed(15, 0.35, 1507)),
+    "cycle-18": (18, _shuffled(18, _cycle(18), 11)),
+    "tree-18": (18, _pruefer_tree(18, 1801)),
+    "grid-4x6": (24, _shuffled(24, _grid(4, 6), 12)),
+    "gnp-22": (22, _shuffled(22, _gnp(22, 2.5, 13), 13)),
+}
+
 
 def _edge_list(n, edges):
     pairs = sorted((u, v) if u < v else (v, u) for u, v in edges)
@@ -118,27 +187,38 @@ def _run(argv):
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("name", GRAPHS)
-def test_cli_output_matches_golden(name, command):
+def _check_golden(graphs, commands, name, command):
     graph = GOLDEN / f"{name}.txt"
-    assert graph.read_text() == _edge_list(*GRAPHS[name])
-    code, out = _run(COMMANDS[command] + (str(graph),))
+    assert graph.read_text() == _edge_list(*graphs[name])
+    code, out = _run(commands[command] + (str(graph),))
     expected = (GOLDEN / f"{name}.{command}.json").read_text()
     assert out == expected
     assert code == json.loads((GOLDEN / "codes.json").read_text())[f"{name}.{command}"]
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", GRAPHS)
+def test_cli_output_matches_golden(name, command):
+    _check_golden(GRAPHS, COMMANDS, name, command)
+
+
+@pytest.mark.parametrize("command", ORACLE_COMMANDS)
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_oracle_output_matches_golden(name, command):
+    _check_golden(ORACLE_GRAPHS, ORACLE_COMMANDS, name, command)
+
+
 def regenerate():
     GOLDEN.mkdir(parents=True, exist_ok=True)
     codes = {}
-    for name, (n, edges) in GRAPHS.items():
-        graph = GOLDEN / f"{name}.txt"
-        graph.write_text(_edge_list(n, edges))
-        for command, argv in COMMANDS.items():
-            code, out = _run(argv + (str(graph),))
-            (GOLDEN / f"{name}.{command}.json").write_text(out)
-            codes[f"{name}.{command}"] = code
+    for graphs, commands in ((GRAPHS, COMMANDS), (ORACLE_GRAPHS, ORACLE_COMMANDS)):
+        for name, (n, edges) in graphs.items():
+            graph = GOLDEN / f"{name}.txt"
+            graph.write_text(_edge_list(n, edges))
+            for command, argv in commands.items():
+                code, out = _run(argv + (str(graph),))
+                (GOLDEN / f"{name}.{command}.json").write_text(out)
+                codes[f"{name}.{command}"] = code
     (GOLDEN / "codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
 
 
