@@ -9,6 +9,7 @@ memory, 2 infeasible (no team / no optimum exists), 3 internal errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import statistics
@@ -97,8 +98,13 @@ def _read_team(path: str, g: Graph) -> frozenset[int]:
 
 
 def _component_graphs(g: Graph):
-    """Induced subgraph per component, labels preserved."""
-    return [induced_subgraph(g, part) for part in connected_components(g)]
+    """(graph, host vertices) per component, labels preserved. A connected
+    input is its own one component; otherwise every component's induced
+    subgraph is built up front."""
+    if g.is_connected():
+        return [(g, range(g.n))]
+    subs = (induced_subgraph(g, part) for part in connected_components(g))
+    return [(sub.graph, sub.host_vertices) for sub in subs]
 
 
 # --- commands ---------------------------------------------------------------
@@ -106,7 +112,7 @@ def _component_graphs(g: Graph):
 def cmd_analyze(args, l: Fraction | None) -> int:
     g = _load_graph(args.graph)
     entries = []
-    for sub, hosts, _ in _component_graphs(g):
+    for sub, hosts in _component_graphs(g):
         profile = eccentricity_profile(sub)
         entries.append(
             {
@@ -160,7 +166,7 @@ def cmd_hicom(args, l: Fraction | None) -> int:
     # top-level decomposition: the run applies to each component
     entries = []
     successes = 0
-    for sub, hosts, _ in _component_graphs(g):
+    for sub, hosts in _component_graphs(g):
         entry = {"vertices": [g.labels[v] for v in hosts]}
         try:
             entry["result"] = _hicom_payload(sub, args, l)
@@ -177,15 +183,13 @@ def cmd_verify(args, l: Fraction | None) -> int:
     members = _read_team(args.team, g)
     if not g.is_connected():
         # a team lives inside one component; evaluate it there
-        for sub, hosts, host_index in _component_graphs(g):
-            if members <= set(hosts):
-                g = sub
-                members = frozenset(host_index[v] for v in members)
-                break
-        else:
+        part = next((p for p in connected_components(g) if members <= p), None)
+        if part is None:
             return _emit_error(
                 "infeasible", "team spans multiple components", EXIT_INFEASIBLE
             )
+        g, _, host_index = induced_subgraph(g, part)
+        members = frozenset(host_index[v] for v in members)
     report = check_hc(g, members, l)
     _emit(report.to_json_dict(g.labels))
     return EXIT_OK if report.verdict != "none" else EXIT_INFEASIBLE
@@ -197,7 +201,7 @@ def _oracle_per_component(args, solve) -> int:
     g = _load_graph(args.graph)
     entries = []
     found = 0
-    for sub, hosts, _ in _component_graphs(g):
+    for sub, hosts in _component_graphs(g):
         answer = solve(sub)
         found += answer.optimum is not None
         entries.append(
@@ -320,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="eccentricity profile per component")
     add_graph_arg(p)
     p.add_argument("--format", choices=("json", "text", "dot"), default="json")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(handler="cmd_analyze")
 
     p = sub.add_parser("hicom", help="construct a highly comfortable team")
     add_graph_arg(p)
@@ -329,13 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", action="store_true", help="also grow a maximal team")
     p.add_argument("--allow-large-l", action="store_true", help="permit l > 2")
     p.add_argument("--dot", default=None, help="write DOT with the team highlighted")
-    p.set_defaults(func=cmd_hicom)
+    p.set_defaults(handler="cmd_hicom")
 
     p = sub.add_parser("verify", help="evaluate a team file against every condition")
     add_graph_arg(p)
     p.add_argument("--l", default="3/2")
     p.add_argument("--team", required=True, help="file with one vertex label per line")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(handler="cmd_verify")
 
     oracle = sub.add_parser("oracle", help="exhaustive exact answers on small graphs")
     osub = oracle.add_subparsers(dest="oracle_command", required=True)
@@ -345,30 +349,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("comfortable", "bc", "hc"), required=True)
     p.add_argument("--l", default="3/2")
     p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_oracle_min)
+    p.set_defaults(handler="cmd_oracle_min")
 
     p = osub.add_parser("max", help="maximum team meeting the HC conditions")
     add_graph_arg(p)
     p.add_argument("--l", default="3/2")
     p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_oracle_max)
+    p.set_defaults(handler="cmd_oracle_max")
 
     p = osub.add_parser("cds", help="minimum connected dominating set")
     add_graph_arg(p)
     p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_oracle_cds)
+    p.set_defaults(handler="cmd_oracle_cds")
 
     p = osub.add_parser("ratio", help="heuristic size vs exact optimum over a corpus")
     p.add_argument("--corpus", required=True, help="e.g. cycles:7-12 or trees:4-9+cycles:7-12")
     p.add_argument("--l", default="3/2")
     p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_oracle_ratio)
+    p.set_defaults(handler="cmd_oracle_ratio")
 
     p = osub.add_parser("bounds", help="dispersion-index sandwich over a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--l", default="3/2")
     p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_oracle_bounds)
+    p.set_defaults(handler="cmd_oracle_bounds")
 
     p = sub.add_parser("gen", help="emit a generated graph as edge-list text")
     p.add_argument("kind", choices=("path", "cycle", "tree", "gnp"))
@@ -377,26 +381,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--connected", action="store_true", help="retry gnp until connected")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(handler="cmd_gen")
 
     p = sub.add_parser("bench", help="wall-clock scaling of all-pairs BFS and hicom")
     p.add_argument("--sizes", default="100,200,400")
     p.add_argument("--p", type=float, default=None, help="fixed edge probability (default: auto)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--l", default="3/2")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(handler="cmd_bench")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later ``run``;
+    parsing leaves no state in it, as each call gets a fresh namespace."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         l = parse_l(args.l) if getattr(args, "l", None) is not None else None
         if hasattr(args, "cap"):
             args.cap = oracle_cap(args.cap)  # checked up front
-        return args.func(args, l)
+        # looked up at call time, so a handler replaced after the parser
+        # was built is the one that runs
+        return globals()[args.handler](args, l)
     except EdgeListParseError as exc:
         return _emit_error("parse", str(exc), EXIT_USAGE)
     except HicomError as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from operator import or_
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
@@ -55,20 +56,34 @@ class Graph:
     ):
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
-        normalized: set[tuple[int, int]] = set()
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            normalized.add((u, v) if u < v else (v, u))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in normalized:
             adj[u].append(v)
             adj[v].append(u)
+        self._fill(adj, labels)
+
+    @classmethod
+    def _of_lists(cls, adj: list[list[int]]) -> Graph:
+        """Graph with default labels from symmetric neighbour lists that
+        are in range and free of self-loops (any order, repeats allowed)."""
+        g = cls.__new__(cls)
+        g._fill(adj, None)
+        return g
+
+    def _fill(self, adj: list[list[int]], labels: Sequence[str] | None) -> None:
+        rows = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        # each edge once, as (u, w) with u < w
+        edges = frozenset((u, w) for u, row in enumerate(rows) for w in row if w > u)
+        if 2 * len(edges) != sum(map(len, rows)):  # repeated edges: merge them
+            rows = tuple(tuple(sorted(set(row))) for row in rows)
+        n = len(rows)
         self.n = n
-        self.edges = frozenset(normalized)
-        self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self.edges = edges
+        self.adj = rows
         if labels is None:
             self.labels = tuple(f"v{i + 1}" for i in range(n))
         else:
@@ -153,6 +168,7 @@ def bfs(
     sources: Iterable[int],
     n: int,
     within: AbstractSet[int] | None = None,
+    levels: list[int] | None = None,
 ) -> tuple[list[int], list[int]]:
     """Hop levels from the nearest of ``sources``: the one BFS kernel.
 
@@ -162,10 +178,13 @@ def bfs(
     lists the reached vertices in visit order, so ``levels[order[-1]]`` is
     the deepest level and ``len(order)`` counts them. With ``within`` the
     search stays inside that vertex set (its induced subgraph), which must
-    hold the sources.
+    hold the sources. Given the ``levels`` of an earlier search, the search
+    fills that list in place and treats what it reached as visited, so
+    searches from the roots of successive components share one list.
     """
     unreached = UNREACHABLE  # a local: the edge loop reads it once per edge
-    levels = [unreached] * n
+    if levels is None:
+        levels = [unreached] * n
     order = []
     for s in sources:
         if levels[s] == unreached:
@@ -377,33 +396,33 @@ def graph_power(g: Graph, k: int) -> Graph:
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Partition of the vertex set; a single part iff the graph is connected."""
-    seen: set[int] = set()
-    parts = []
-    for start in range(g.n):
-        if start not in seen:
-            part = frozenset(bfs(g.adj, (start,), g.n)[1])
-            parts.append(part)
-            seen |= part
-    return parts
+    """Partition of the vertex set, parts ordered by their smallest vertex;
+    a single part iff the graph is connected. One search per part, all
+    filling one shared levels list, so the work is O(n + m)."""
+    levels = [UNREACHABLE] * g.n
+    return [
+        frozenset(bfs(g.adj, (start,), g.n, levels=levels)[1])
+        for start in range(g.n)
+        if levels[start] == UNREACHABLE
+    ]
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the ``n m`` / ``u v`` edge-list format.
 
     Blank lines and ``#`` comments are skipped; CRLF is tolerated. Errors
-    name the 1-based line number. Duplicate edges are merged.
+    name the 1-based line number; a header whose edge count does not match
+    the edge lines is reported before any bad edge line. Duplicate edges
+    are merged. The edge lines go straight into the neighbour lists.
     """
-    significant: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        significant.append((lineno, line))
-    if not significant:
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        header = raw.strip()
+        if header and not header.startswith("#"):
+            break
+    else:
         raise EdgeListParseError("line 1: empty input, expected header 'n m'")
 
-    lineno, header = significant[0]
     parts = header.split()
     if len(parts) != 2:
         raise EdgeListParseError(f"line {lineno}: expected header 'n m', got {header!r}")
@@ -416,37 +435,44 @@ def parse_edge_list(text: str) -> Graph:
     if m < 0:
         raise EdgeListParseError(f"line {lineno}: edge count must be >= 0, got {m}")
 
-    body = significant[1:]
-    if len(body) != m:
+    body = lineno  # index of the first line after the header
+    found = sum(1 for raw in islice(lines, body, None) if raw.strip()[:1] not in ("", "#"))
+    if found != m:
         raise EdgeListParseError(
-            f"line {lineno}: header promises {m} edges but {len(body)} edge lines follow"
+            f"line {lineno}: header promises {m} edges but {found} edge lines follow"
         )
-    edges = []
-    for lineno, line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListParseError(f"line {lineno}: expected 'u v', got {line!r}")
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for lineno, raw in enumerate(islice(lines, body, None), start=body + 1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+            u, v = map(int, line.split())
+        except ValueError:  # a wrong field count is reported before a bad value
+            if len(line.split()) != 2:
+                raise EdgeListParseError(f"line {lineno}: expected 'u v', got {line!r}") from None
             raise EdgeListParseError(f"line {lineno}: non-integer endpoints {line!r}") from None
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListParseError(f"line {lineno}: vertex out of range 0..{n - 1}: {line!r}")
         if u == v:
             raise EdgeListParseError(f"line {lineno}: self-loop at vertex {u}")
-        edges.append((u, v))
-    return Graph(n, edges)
+        adj[u].append(v)
+        adj[v].append(u)
+    del lines  # the lines go before the rows and the edge set are built
+    return Graph._of_lists(adj)
 
 
 def serialize_edge_list(g: Graph) -> str:
-    """Canonical edge-list text: header then sorted edges, one per line."""
+    """Canonical edge-list text: header then sorted edges, one per line.
+    The sorted rows of ``g.adj`` give the edges already in order."""
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    lines.extend(f"{u} {w}" for u, row in enumerate(g.adj) for w in row if w > u)
     return "\n".join(lines) + "\n"
 
 
 def to_dot(g: Graph, team: Iterable[int] | None = None) -> str:
-    """DOT text with team vertices filled; vertex and edge order is fixed."""
+    """DOT text with team vertices filled; vertex order, then edges in the
+    order of ``serialize_edge_list``."""
     members = set(team) if team is not None else set()
     lines = ["graph G {"]
     for v in range(g.n):
@@ -454,8 +480,12 @@ def to_dot(g: Graph, team: Iterable[int] | None = None) -> str:
             lines.append(f'  "{g.labels[v]}" [style=filled, fillcolor=lightblue, team=true];')
         else:
             lines.append(f'  "{g.labels[v]}";')
-    for u, v in sorted(g.edges):
-        lines.append(f'  "{g.labels[u]}" -- "{g.labels[v]}";')
+    lines.extend(
+        f'  "{g.labels[u]}" -- "{g.labels[w]}";'
+        for u, row in enumerate(g.adj)
+        for w in row
+        if w > u
+    )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

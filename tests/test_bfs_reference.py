@@ -1,6 +1,6 @@
 """The BFS kernel, the cached eccentricity profile, induced team metrics
-and the hop metrics built on them (shells, subset profiles, the
-connected-set walk, graph powers, the power-graph reduction) against
+and the hop metrics built on them (components, shells, subset profiles,
+the connected-set walk, graph powers, the power-graph reduction) against
 networkx.
 
 networkx is a test-only reference; the module is skipped where it is not
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from comfnet import (
     Graph,
     UNREACHABLE,
+    connected_components,
     domination_radius,
     eccentricity_profile,
     graph_power,
@@ -151,6 +152,14 @@ def test_shell_matches_networkx(g, data):
     j = data.draw(st.integers(0, g.n))
     lengths = nx.single_source_shortest_path_length(as_nx(g), v)
     assert shell(g, v, j) == {u for u, d in lengths.items() if d == j}
+
+
+@given(graphs(max_n=20))
+@settings(max_examples=80, deadline=None)
+def test_connected_components_match_networkx(g):
+    # both list the parts in the order of their smallest vertex
+    expected = [frozenset(part) for part in nx.connected_components(as_nx(g))]
+    assert connected_components(g) == expected
 
 
 @given(graphs(max_n=16), st.integers(1, 5))

@@ -333,6 +333,49 @@ def test_internal_error_exits_three(capsys, monkeypatch, c6_file):
     assert payload["error"]["code"] == "internal"
 
 
+# --- one parser per process ----------------------------------------------------------------
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, c6_file):
+    import comfnet.cli as cli
+
+    built = []
+
+    def counted_build_parser():
+        built.append(1)
+        return real_build_parser()
+
+    real_build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted_build_parser)
+    cli._parser.cache_clear()
+    assert run_cli(capsys, "analyze", c6_file)[0] == 0
+    assert run_cli(capsys, "oracle", "cds", c6_file)[0] == 0
+    assert len(built) == 1
+
+
+def test_no_option_leaks_into_the_next_call(capsys, c6_file, tmp_path):
+    code, payload = run_json(capsys, "hicom", "--max", "--l", "3/2", c6_file)
+    assert code == 0 and "max_team" in payload
+    code, payload = run_json(capsys, "hicom", c6_file)
+    assert code == 0 and "max_team" not in payload
+
+    big = tmp_path / "c16.txt"
+    big.write_text(serialize_edge_list(cycle_graph(16)))
+    code, payload = run_json(capsys, "oracle", "min", "--kind", "bc", "--cap", "16", str(big))
+    assert code == 0 and payload["enumerated"] > 0
+    code, payload = run_json(capsys, "oracle", "min", "--kind", "bc", str(big))
+    assert code == 1 and "cap" in payload["error"]["message"]  # the default cap is back
+
+
+def test_a_usage_error_leaves_the_parser_usable(capsys, c6_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["hicom", "--no-such-flag", c6_file])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    code, payload = run_json(capsys, "analyze", c6_file)
+    assert code == 0
+    assert payload["components"][0]["class"] == "self-centered"
+
+
 # --- determinism --------------------------------------------------------------------------
 
 @pytest.mark.parametrize(

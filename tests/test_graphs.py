@@ -1,3 +1,6 @@
+import hashlib
+import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -93,6 +96,32 @@ def test_parse_errors_name_the_line(text, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 1: empty input, expected header 'n m'"),
+        ("# a\n\n  # b\n", "line 1: empty input, expected header 'n m'"),
+        ("2 1 5\n0 1", "line 1: expected header 'n m', got '2 1 5'"),
+        ("# c\na b\n", "line 2: non-integer header 'a b'"),
+        ("0 0", "line 1: vertex count must be >= 1, got 0"),
+        ("2 -1", "line 1: edge count must be >= 0, got -1"),
+        # the count mismatch is reported before the bad edge line
+        ("# c\n3 2\n0 x\n", "line 2: header promises 2 edges but 1 edge lines follow"),
+        ("3 2\n\n0 1\n# c\n", "line 1: header promises 2 edges but 1 edge lines follow"),
+        ("3 1\n0 x", "line 2: non-integer endpoints '0 x'"),
+        ("3 1\n0 1 2", "line 2: expected 'u v', got '0 1 2'"),
+        ("3 1\n0 3", "line 2: vertex out of range 0..2: '0 3'"),
+        ("3 1\n-1 2", "line 2: vertex out of range 0..2: '-1 2'"),
+        ("3 1\n\n1 1", "line 3: self-loop at vertex 1"),
+        ("3 3\n0 1\n1 1\n0 x\n", "line 3: self-loop at vertex 1"),
+    ],
+)
+def test_parse_error_messages_are_exact(text, message):
+    with pytest.raises(EdgeListParseError) as exc:
+        parse_edge_list(text)
+    assert str(exc.value) == message
+
+
 def test_serialize_parse_roundtrip(p6, c6):
     for g in (p6, c6, star_graph(4)):
         assert parse_edge_list(serialize_edge_list(g)) == g
@@ -102,6 +131,69 @@ def test_serialize_parse_roundtrip(p6, c6):
 @settings(max_examples=40, deadline=None)
 def test_serialize_parse_roundtrip_property(g):
     assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+@st.composite
+def any_graphs(draw, max_n=14):
+    """Graphs from raw vertex pairs, repeats and disconnected ones included."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    return Graph(n, [(u, v) for u, v in pairs if u != v])
+
+
+def sorted_edges_text(g):
+    """The canonical edge list written from ``sorted(g.edges)``."""
+    return "".join([f"{g.n} {g.m}\n", *(f"{u} {v}\n" for u, v in sorted(g.edges))])
+
+
+@given(any_graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_exports_follow_the_sorted_edge_order(g, data):
+    assert serialize_edge_list(g) == sorted_edges_text(g)
+    assert graph_digest(g) == hashlib.sha1(sorted_edges_text(g).encode()).hexdigest()[:12]
+    team = data.draw(st.sets(st.integers(0, g.n - 1)))
+    dot = to_dot(g, team=team).splitlines()
+    assert dot[0] == "graph G {" and dot[-1] == "}"
+    assert dot[1 + g.n:-1] == [f'  "v{u + 1}" -- "v{v + 1}";' for u, v in sorted(g.edges)]
+    assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+@given(any_graphs())
+@settings(max_examples=80, deadline=None)
+def test_parse_matches_the_graph_of_its_edges(g):
+    # edge lines in a shuffled, duplicated, reversed and commented form
+    lines = [f"{v} {u}" for u, v in sorted(g.edges, reverse=True)] + [f"{u} {v}" for u, v in g.edges]
+    text = f"# header next\n{g.n} {len(lines)}\r\n" + "\n# c\n".join(lines)
+    parsed = parse_edge_list(text)
+    assert parsed == g
+    assert parsed.adj == g.adj
+    assert parsed.edges == g.edges and parsed.m == g.m
+
+
+def _parse_peak_bytes(text):
+    tracemalloc.start()
+    try:
+        parse_edge_list(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_of_many_isolated_vertices_stays_lean():
+    # 27.3 MB when the parse first built an edge set and then copied it
+    assert _parse_peak_bytes("200000 0\n") <= 27.4e6
+
+
+def test_parse_of_a_sparse_graph_keeps_no_copy_of_the_input():
+    rng = random.Random(5)
+    n, pairs = 20_000, set()
+    while len(pairs) < 60_000:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    text = f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    # 30.1 MB when the parse kept a list of lines, an edge list and an edge set
+    assert _parse_peak_bytes(text) < 22e6
 
 
 # --- construction invariants ------------------------------------------------
@@ -353,6 +445,13 @@ def test_components_two_parts():
 
 def test_components_edgeless():
     assert connected_components(Graph(4)) == [frozenset({i}) for i in range(4)]
+
+
+def test_components_take_linear_time_in_their_number():
+    begin = time.perf_counter()
+    parts = connected_components(parse_edge_list("200000 0\n"))
+    assert time.perf_counter() - begin < 5.0  # one search per vertex took minutes
+    assert len(parts) == 200_000 and parts[-1] == frozenset({199_999})
 
 
 # --- exports ---------------------------------------------------------------------
