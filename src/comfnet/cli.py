@@ -9,9 +9,11 @@ memory, 2 infeasible (no team / no optimum exists), 3 internal errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import statistics
 import sys
 import time
@@ -25,9 +27,9 @@ from .graphs import (
     EdgeListParseError,
     Graph,
     all_pairs_distances,
-    connected_components,
     eccentricity_profile,
     induced_subgraph,
+    iter_components,
     parse_edge_list,
     serialize_edge_list,
     to_dot,
@@ -59,6 +61,21 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _emit_components(entries, counted=bool, **fields) -> int:
+    """Write ``{"components": [*entries], **fields}`` as ``_emit`` would, keeping
+    only each entry's text until one ``writelines`` after the last, so a failure
+    on the way leaves stdout to the error object. Keys of ``fields`` sort after
+    "components". Returns how many entries are ``counted``."""
+    pieces, count = ['{\n  "components": [\n    '], 0
+    for entry in entries:
+        count += counted(entry)
+        # indented two levels down; JSON strings escape "\n"
+        pieces += (json.dumps(entry, indent=2, sort_keys=True).replace("\n", "\n    "), ",\n    ")
+    pieces[-1] = "\n  ]," + json.dumps(fields, indent=2, sort_keys=True)[1:] + "\n"
+    sys.stdout.writelines(pieces)
+    return count
 
 
 def _emit_error(code: str, message: str, exit_code: int) -> int:
@@ -97,46 +114,31 @@ def _read_team(path: str, g: Graph) -> frozenset[int]:
     return frozenset(members)
 
 
-def _component_graphs(g: Graph):
-    """(graph, host vertices) per component, labels preserved. A connected
-    input is its own one component; otherwise every component's induced
-    subgraph is built up front."""
-    if g.is_connected():
-        return [(g, range(g.n))]
-    subs = (induced_subgraph(g, part) for part in connected_components(g))
-    return [(sub.graph, sub.host_vertices) for sub in subs]
+def _components(g: Graph, solve):
+    """``{"vertices": labels, **solve(sub)}`` per component ``sub`` of ``g``,
+    in order; each is built and solved only when its turn comes."""
+    whole = g.is_connected()
+    for sub in [g] if whole else (induced_subgraph(g, p).graph for p in iter_components(g)):
+        yield {"vertices": list(sub.labels), **solve(sub)}
 
 
 # --- commands ---------------------------------------------------------------
 
 def cmd_analyze(args, l: Fraction | None) -> int:
     g = _load_graph(args.graph)
-    entries = []
-    for sub, hosts in _component_graphs(g):
-        profile = eccentricity_profile(sub)
-        entries.append(
-            {
-                "vertices": [g.labels[v] for v in hosts],
-                **profile.to_json_dict(sub.labels),
-            }
-        )
-    payload = {
-        "n": g.n,
-        "m": g.m,
-        "connected": len(entries) == 1,
-        "components": entries,
-    }
-    if args.format == "text":
-        for i, entry in enumerate(payload["components"]):
-            print(
-                f"component {i}: n={len(entry['vertices'])} radius={entry['radius']} "
-                f"diameter={entry['diameter']} class={entry['class']} "
-                f"center={','.join(entry['center'])}"
-            )
-    elif args.format == "dot":
+    if args.format == "dot":
         sys.stdout.write(to_dot(g))
+        return EXIT_OK
+    entries = _components(g, lambda sub: eccentricity_profile(sub).to_json_dict(sub.labels))
+    if args.format == "text":
+        sys.stdout.writelines([
+            f"component {i}: n={len(entry['vertices'])} radius={entry['radius']} "
+            f"diameter={entry['diameter']} class={entry['class']} "
+            f"center={','.join(entry['center'])}\n"
+            for i, entry in enumerate(entries)
+        ])
     else:
-        _emit(payload)
+        _emit_components(entries, connected=g.is_connected(), m=g.m, n=g.n)
     return EXIT_OK
 
 
@@ -163,18 +165,14 @@ def cmd_hicom(args, l: Fraction | None) -> int:
     if g.is_connected():
         _emit(_hicom_payload(g, args, l))
         return EXIT_OK
-    # top-level decomposition: the run applies to each component
-    entries = []
-    successes = 0
-    for sub, hosts in _component_graphs(g):
-        entry = {"vertices": [g.labels[v] for v in hosts]}
+
+    def solve(sub: Graph) -> dict:  # the run applies to each component
         try:
-            entry["result"] = _hicom_payload(sub, args, l)
-            successes += 1
+            return {"result": _hicom_payload(sub, args, l)}
         except (HicomError, ValueError) as exc:
-            entry["error"] = str(exc)
-        entries.append(entry)
-    _emit({"connected": False, "components": entries})
+            return {"error": str(exc)}
+
+    successes = _emit_components(_components(g, solve), lambda e: "result" in e, connected=False)
     return EXIT_OK if successes else EXIT_INFEASIBLE
 
 
@@ -183,7 +181,7 @@ def cmd_verify(args, l: Fraction | None) -> int:
     members = _read_team(args.team, g)
     if not g.is_connected():
         # a team lives inside one component; evaluate it there
-        part = next((p for p in connected_components(g) if members <= p), None)
+        part = next((p for p in iter_components(g) if members.issubset(p)), None)
         if part is None:
             return _emit_error(
                 "infeasible", "team spans multiple components", EXIT_INFEASIBLE
@@ -199,16 +197,13 @@ def _oracle_per_component(args, solve) -> int:
     """Emit ``solve(component)`` for each component; exit 2 unless every
     component has an optimum."""
     g = _load_graph(args.graph)
-    entries = []
-    found = 0
-    for sub, hosts in _component_graphs(g):
-        answer = solve(sub)
-        found += answer.optimum is not None
-        entries.append(
-            {"vertices": [g.labels[v] for v in hosts], **answer.to_json_dict(sub.labels)}
-        )
-    _emit(entries[0] if len(entries) == 1 else {"connected": False, "components": entries})
-    return EXIT_OK if found == len(entries) else EXIT_INFEASIBLE
+    entries = _components(g, lambda sub: solve(sub).to_json_dict(sub.labels))
+    if g.is_connected():
+        (entry,) = entries
+        _emit(entry)
+        return EXIT_INFEASIBLE if entry["optimum"] is None else EXIT_OK
+    missing = _emit_components(entries, lambda e: e["optimum"] is None, connected=False)
+    return EXIT_INFEASIBLE if missing else EXIT_OK
 
 
 def cmd_oracle_min(args, l: Fraction | None) -> int:
@@ -408,7 +403,14 @@ def run(argv=None) -> int:
             args.cap = oracle_cap(args.cap)  # checked up front
         # looked up at call time, so a handler replaced after the parser
         # was built is the one that runs
-        return globals()[args.handler](args, l)
+        code = globals()[args.handler](args, l)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: what is left, and the flush at exit, go to devnull
+        with contextlib.suppress(OSError, ValueError):  # stdout has no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except EdgeListParseError as exc:
         return _emit_error("parse", str(exc), EXIT_USAGE)
     except HicomError as exc:
@@ -423,8 +425,7 @@ def run(argv=None) -> int:
         return _emit_error("internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
 
 
-def main(argv=None) -> int:
-    return run(argv)
+main = run
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from operator import or_
-from typing import AbstractSet, Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 #: Sentinel hop distance for unreachable pairs. Strictly greater than any
 #: valid distance (a path has at most n - 1 hops); never 0 or -1.
@@ -46,7 +46,7 @@ class Graph:
     concurrency cannot change the result.
     """
 
-    __slots__ = ("n", "edges", "adj", "labels", "_profile", "_connected")
+    __slots__ = ("n", "m", "adj", "labels", "_profile", "_connected")
 
     def __init__(
         self,
@@ -67,22 +67,20 @@ class Graph:
         self._fill(adj, labels)
 
     @classmethod
-    def _of_lists(cls, adj: list[list[int]]) -> Graph:
-        """Graph with default labels from symmetric neighbour lists that
-        are in range and free of self-loops (any order, repeats allowed)."""
+    def _of_lists(cls, adj: list[list[int]], labels: Sequence[str] | None = None) -> Graph:
+        """Graph from symmetric neighbour lists that are in range and free
+        of self-loops (any order, repeats allowed)."""
         g = cls.__new__(cls)
-        g._fill(adj, None)
+        g._fill(adj, labels)
         return g
 
     def _fill(self, adj: list[list[int]], labels: Sequence[str] | None) -> None:
         rows = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        # each edge once, as (u, w) with u < w
-        edges = frozenset((u, w) for u, row in enumerate(rows) for w in row if w > u)
-        if 2 * len(edges) != sum(map(len, rows)):  # repeated edges: merge them
+        if sum(map(len, map(set, rows))) != sum(map(len, rows)):  # repeated edges: merge them
             rows = tuple(tuple(sorted(set(row))) for row in rows)
         n = len(rows)
         self.n = n
-        self.edges = edges
+        self.m = sum(map(len, rows)) // 2
         self.adj = rows
         if labels is None:
             self.labels = tuple(f"v{i + 1}" for i in range(n))
@@ -95,8 +93,9 @@ class Graph:
         self._connected: bool | None = None
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Each edge once, as ``(u, w)`` with ``u < w``; built on each call."""
+        return frozenset((u, w) for u, row in enumerate(self.adj) for w in row if w > u)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -109,7 +108,7 @@ class Graph:
         return range(self.n)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
+        return 0 <= u < self.n and v in self.adj[u]
 
     def is_connected(self) -> bool:
         if self._connected is None:
@@ -126,7 +125,7 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.adj == other.adj
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -364,9 +363,9 @@ def shell(g: Graph, v: int, j: int) -> frozenset[int]:
 def induced_subgraph(g: Graph, members: Iterable[int]) -> Induced:
     """Subgraph induced by ``members`` with the host/sub index maps.
 
-    The induced graph computes its own eccentricity profile: induced
-    distances and eccentricities generally differ from the host's
-    restricted ones.
+    Built from the members' own rows, in time linear in them and their
+    degrees. The induced graph computes its own eccentricity profile:
+    induced distances generally differ from the host's restricted ones.
     """
     vertices = sorted(set(members))
     if not vertices:
@@ -374,12 +373,8 @@ def induced_subgraph(g: Graph, members: Iterable[int]) -> Induced:
     if vertices[0] < 0 or vertices[-1] >= g.n:
         raise ValueError(f"vertex set out of range for n={g.n}")
     host_index = {v: i for i, v in enumerate(vertices)}
-    edges = [
-        (host_index[u], host_index[v])
-        for u, v in g.edges
-        if u in host_index and v in host_index
-    ]
-    sub = Graph(len(vertices), edges, labels=[g.labels[v] for v in vertices])
+    adj = [[host_index[w] for w in g.adj[v] if w in host_index] for v in vertices]
+    sub = Graph._of_lists(adj, labels=[g.labels[v] for v in vertices])
     return Induced(sub, tuple(vertices), host_index)
 
 
@@ -397,14 +392,17 @@ def graph_power(g: Graph, k: int) -> Graph:
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Partition of the vertex set, parts ordered by their smallest vertex;
-    a single part iff the graph is connected. One search per part, all
-    filling one shared levels list, so the work is O(n + m)."""
+    a single part iff the graph is connected."""
+    return [frozenset(part) for part in iter_components(g)]
+
+
+def iter_components(g: Graph) -> Iterator[list[int]]:
+    """Each component's vertices, found when asked for, in the order of their
+    smallest vertex; the searches share one levels list, so O(n + m) in all."""
     levels = [UNREACHABLE] * g.n
-    return [
-        frozenset(bfs(g.adj, (start,), g.n, levels=levels)[1])
-        for start in range(g.n)
-        if levels[start] == UNREACHABLE
-    ]
+    for start in range(g.n):
+        if levels[start] == UNREACHABLE:
+            yield bfs(g.adj, (start,), g.n, levels=levels)[1]
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -458,7 +456,7 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(f"line {lineno}: self-loop at vertex {u}")
         adj[u].append(v)
         adj[v].append(u)
-    del lines  # the lines go before the rows and the edge set are built
+    del lines  # the lines go before the rows are built
     return Graph._of_lists(adj)
 
 

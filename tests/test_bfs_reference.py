@@ -27,6 +27,7 @@ from comfnet import (
     domination_radius,
     eccentricity_profile,
     graph_power,
+    induced_subgraph,
     reduction_witness,
     shell,
 )
@@ -160,6 +161,51 @@ def test_connected_components_match_networkx(g):
     # both list the parts in the order of their smallest vertex
     expected = [frozenset(part) for part in nx.connected_components(as_nx(g))]
     assert connected_components(g) == expected
+
+
+@st.composite
+def edge_lists(draw, max_n=16):
+    """n and an edge list in which edges may repeat, either way round."""
+    n = draw(st.integers(1, max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(pairs, max_size=3 * n))
+
+
+@given(edge_lists(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_induced_subgraph_matches_networkx(case, data):
+    n, edges = case
+    g = Graph(n, edges, labels=[f"x{v}" for v in reversed(range(n))])
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    some = st.sets(st.integers(0, n - 1), min_size=1)
+    members = data.draw(st.one_of(some, st.sampled_from(list(nx.connected_components(h)))))
+    expected = h.subgraph(members)
+    sub, hosts, index = induced_subgraph(g, members)
+    assert hosts == tuple(sorted(expected.nodes))
+    assert index == {v: i for i, v in enumerate(hosts)}
+    assert sub.labels == tuple(g.labels[v] for v in hosts)
+    assert {(hosts[u], hosts[w]) for u, w in sub.edges} == {tuple(sorted(e)) for e in expected.edges}
+    assert sub.m == expected.number_of_edges()
+
+
+@given(edge_lists(), edge_lists())
+@settings(max_examples=100, deadline=None)
+def test_edge_count_lookup_and_equality_follow_the_edge_set(case, other):
+    """``m``, ``has_edge`` and ``==`` read the sorted rows; they agree with
+    the set of edges as (smaller, larger) pairs they once were built on."""
+    (n, edges), (n2, edges2) = case, other
+    g = Graph(n, edges)
+    edge_set = {(min(u, v), max(u, v)) for u, v in edges}
+    assert g.edges == edge_set and g.m == len(edge_set)
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edge_set)
+    assert g == Graph(n, [(v, u) for u, v in reversed(edges)])
+    assert g != Graph(n + 1, edges)
+    h = Graph(n2, edges2)
+    assert (g == h) == (g.n == h.n and g.edges == h.edges)
 
 
 @given(graphs(max_n=16), st.integers(1, 5))
