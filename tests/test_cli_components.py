@@ -53,7 +53,8 @@ def some_fail_file(tmp_path_factory):
     """C7, a graph where no team exists, then K2: the middle and last fail."""
     no_team = parse_edge_list((DATA / "no_team_n15.txt").read_text())
     path = tmp_path_factory.mktemp("union") / "some_fail.txt"
-    path.write_text(serialize_edge_list(disjoint_union([cycle_graph(7), no_team, Graph(2, [(0, 1)])])))
+    union = disjoint_union([cycle_graph(7), no_team, Graph(2, [(0, 1)])])
+    path.write_text(serialize_edge_list(union))
     return str(path)
 
 
@@ -121,7 +122,8 @@ def test_a_failure_on_the_way_leaves_only_the_error_object(capsys, monkeypatch, 
     code = cli.main(["hicom", str(path)])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1 and calls == [7, 8, 9]
-    assert payload == {"error": {"code": "resource", "message": "out of memory; the input is too large"}}
+    message = "out of memory; the input is too large"
+    assert payload == {"error": {"code": "resource", "message": message}}
 
     def fails(g, *args, **kwargs):
         raise RuntimeError("wires crossed")
