@@ -142,13 +142,24 @@ def cmd_analyze(args, l: Fraction | None) -> int:
     return EXIT_OK
 
 
+def _start_label(g: Graph, start: str | None) -> str | None:
+    """The label of the ``--start`` vertex of the whole input, read as a
+    label, else as a 0-based index; a usage error when it is neither."""
+    if start is None or start in g.labels:
+        return start
+    try:
+        index = int(start)
+    except ValueError:
+        index = -1
+    if not 0 <= index < g.n:
+        raise ValueError(f"--start {start!r}: no vertex has this label or index 0..{g.n - 1}")
+    return g.labels[index]
+
+
 def _hicom_payload(sub: Graph, args, l: Fraction) -> dict:
-    start = None
-    if args.start is not None:
-        try:
-            start = sub.vertex_for_label(args.start)
-        except KeyError:
-            start = int(args.start)
+    """``args.start`` is a label: the component that holds it runs from it,
+    every other from its own centres."""
+    start = sub.labels.index(args.start) if args.start in sub.labels else None
     result = hicom(sub, l, start=start, allow_large_l=args.allow_large_l)
     payload = result.to_json_dict()
     payload["bounds"] = [b.to_json_dict() for b in verify_k_bound(result, sub)]
@@ -162,9 +173,12 @@ def _hicom_payload(sub: Graph, args, l: Fraction) -> dict:
 
 def cmd_hicom(args, l: Fraction | None) -> int:
     g = _load_graph(args.graph)
+    args.start = _start_label(g, args.start)
     if g.is_connected():
         _emit(_hicom_payload(g, args, l))
         return EXIT_OK
+    if args.dot:
+        raise ValueError("--dot draws one team and needs a connected input; this one is disconnected")
 
     def solve(sub: Graph) -> dict:  # the run applies to each component
         try:

@@ -123,21 +123,30 @@ def _member_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
 
 
 def induced_metrics(g: Graph, members: frozenset[int]):
-    """(connected, induced diameter, per-member induced eccentricity), the
-    eccentricities keyed in member order.
+    """(connected, induced diameter, violators) of a team: the violators
+    are the members, in order, whose induced eccentricity reaches their
+    host eccentricity. On a disconnected host every host eccentricity is
+    UNREACHABLE, so only a disconnected team has violators there.
 
-    One BFS checks that the team is connected; ``eccentricities`` then runs
-    on the adjacency restricted to the members and renumbered 0..k-1. When
-    some teammate cannot be reached inside the team, the diameter and every
-    eccentricity are UNREACHABLE.
+    ``eccentricities`` runs on the adjacency restricted to the members and
+    renumbered 0..k-1, with the host eccentricities as its bars, so it
+    settles only what the two answers need; its first search finds a team
+    that is not connected. When some teammate cannot be reached inside the
+    team, the diameter is UNREACHABLE and every member is a violator.
     """
     team = sorted(members)
     index = {v: i for i, v in enumerate(team)}
     adj = [[index[w] for w in g.adj[v] if w in index] for v in team]
-    if len(bfs(adj, (0,), len(team))[1]) < len(team):
-        return False, UNREACHABLE, dict.fromkeys(team, UNREACHABLE)
-    ecc = eccentricities(adj, len(team))
-    return True, max(ecc), dict(zip(team, ecc))
+    if g.is_connected():
+        host = eccentricity_profile(g).eccentricity
+        bar = [host[v] for v in team]
+    else:
+        bar = [UNREACHABLE] * len(team)
+    try:
+        ecc = eccentricities(adj, len(team), bar)
+    except ValueError:  # the team is not connected
+        return False, UNREACHABLE, tuple(team)
+    return True, max(ecc), tuple([v for v, e, b in zip(team, ecc, bar) if e >= b])
 
 
 class SubsetEvaluator:
@@ -327,9 +336,7 @@ def is_less_dispersive(
     team = _member_set(g, members)
     if not g.is_connected():
         raise ValueError("less-dispersiveness requires a connected host graph")
-    host_ecc = eccentricity_profile(g).eccentricity
-    _, _, ind_ecc = induced_metrics(g, team)
-    violators = tuple(v for v in sorted(team) if ind_ecc[v] >= host_ecc[v])
+    violators = induced_metrics(g, team)[2]
     return not violators, violators
 
 
@@ -344,9 +351,7 @@ def check_hc(g: Graph, members: Iterable[int] | TeamCandidate, l) -> TeamReport:
     if not g.is_connected():
         raise ValueError("team checks require a connected host graph")
 
-    connected, ind_diam, ind_ecc = induced_metrics(g, team)
-    host_ecc = eccentricity_profile(g).eccentricity
-    violators = tuple(v for v in sorted(team) if ind_ecc[v] >= host_ecc[v])
+    connected, ind_diam, violators = induced_metrics(g, team)
     less_disp = not violators
 
     k = domination_radius(g, team)

@@ -211,8 +211,11 @@ def all_pairs_distances(g: Graph) -> list[list[int]]:
     return [bfs(g.adj, (s,), g.n)[0] for s in range(g.n)]
 
 
-def eccentricities(adj: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Exact eccentricities of a connected graph on ``0 .. n-1``.
+def eccentricities(
+    adj: Sequence[Sequence[int]], n: int, bar: Sequence[int] | None = None
+) -> list[int]:
+    """Exact eccentricities of a connected graph on ``0 .. n-1``; given a
+    ``bar`` per vertex, only what a team check asks of them.
 
     Eccentricity bounds (Takes & Kosters, *Algorithms* 6(1), 2013): a
     search from s with eccentricity e puts every vertex v at distance d
@@ -223,12 +226,23 @@ def eccentricities(adj: Sequence[Sequence[int]], n: int) -> list[int]:
     sweeps of at most ``CHUNK`` sources, ``_sweep``, when the diameter seen
     so far is small next to their number, or by one plain search each,
     ``_plain`` (self-centred graphs such as cycles, where neither helps).
+
+    With ``bar`` the entries are lower bounds, exact only as far as the two
+    questions of a team check reach: ``ecc[v] >= bar[v]`` exactly when v's
+    eccentricity reaches ``bar[v]``, and ``max(ecc)`` is the diameter. The
+    searches stop as soon as every vertex is decided (its lower bound
+    reaches its bar or its upper bound falls below it) and the largest
+    lower bound meets the smaller of 2e over the sources searched (no two
+    vertices are farther apart) and the largest upper bound still open;
+    only the vertices that keep a question open are finished.
     """
     lo = [0] * n
     up = [UNREACHABLE] * n
     left = list(range(n))  # vertices whose bounds still differ
     settled: list[int] = []  # how many each search settled
     diameter = 0
+    asked = left  # vertices that keep a question of ``bar`` open
+    twice = UNREACHABLE  # 2e over the sources searched, the least of them
     source = max(range(n), key=lambda v: len(adj[v]))
     while True:
         levels, order = bfs(adj, (source,), n)
@@ -245,6 +259,17 @@ def eccentricities(adj: Sequence[Sequence[int]], n: int) -> list[int]:
                 up[v] = e + d
         kept = [v for v in left if lo[v] < up[v]]
         settled.append(len(left) - len(kept))
+        if bar is not None:
+            # The largest lower bound is the largest e so far: no bound
+            # passes its search's e, and each source's own bound is e. A
+            # vertex that closes its questions never reopens them: its
+            # bounds only tighten, and the ceiling only rises.
+            if 2 * e < twice:
+                twice = 2 * e
+            ceiling = diameter if diameter < twice else UNREACHABLE
+            asked = [v for v in asked if up[v] > ceiling or lo[v] < bar[v] <= up[v]]
+            if not asked:
+                return lo
         left = kept
         if not left:
             return lo
@@ -263,7 +288,10 @@ def eccentricities(adj: Sequence[Sequence[int]], n: int) -> list[int]:
             source = max(left, key=up.__getitem__)
         else:
             source = min(left, key=lo.__getitem__)
-    if sweep_cost < len(left):
+    if bar is not None:
+        left = asked
+    chunks = -(-len(left) // CHUNK)
+    if _LEVEL_COST * chunks * (diameter + 1) < len(left):
         for part in (left[i::chunks] for i in range(chunks)):
             for v, e in zip(part, _sweep(adj, n, part)):
                 lo[v] = e

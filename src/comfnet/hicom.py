@@ -223,10 +223,8 @@ def _greedy_repair(g: Graph, current: frozenset[int], d1: int) -> frozenset[int]
     by how many violators remain, then by index. Removals are not limited
     to the violators themselves: shedding a violator's far teammate is
     often what lowers its eccentricity."""
-    host_ecc = eccentricity_profile(g).eccentricity
     for _ in range(len(current)):
-        _, _, ind_ecc = induced_metrics(g, current)
-        violators = [v for v in sorted(current) if ind_ecc[v] >= host_ecc[v]]
+        violators = induced_metrics(g, current)[2]
         if not violators:
             return current
         if len(current) == 1:
@@ -245,14 +243,13 @@ def _greedy_repair(g: Graph, current: frozenset[int], d1: int) -> frozenset[int]
         best = None  # ((k_after, violators_after, vertex), shrunk team)
         for v in sorted(current):
             shrunk = current - {v}
-            connected, diam_after, ecc_after = induced_metrics(g, shrunk)
+            connected, diam_after, viol_after = induced_metrics(g, shrunk)
             if not connected or diam_after > d1:
                 continue
             k_after = domination_radius(g, shrunk)
             if k_after > diam_after:
                 continue
-            viol_after = sum(1 for w in shrunk if ecc_after[w] >= host_ecc[w])
-            key = (k_after, viol_after, v)
+            key = (k_after, len(viol_after), v)
             if best is None or key < best[0]:
                 best = (key, shrunk)
         if best is None:
@@ -439,7 +436,7 @@ def _attempt(g: Graph, prof, params: HcParams, v: int) -> HicomResult:
     trace = [TraceStep("ball", j, tuple(shell)) for j, shell in enumerate(shells)]
 
     frozen = frozenset(u for shell in shells for u in shell)
-    _, cur_diam, ind_ecc = induced_metrics(g, frozen)
+    _, cur_diam, violators = induced_metrics(g, frozen)
     unreached = False
     i = x
     while cur_diam < d1:
@@ -454,12 +451,12 @@ def _attempt(g: Graph, prof, params: HcParams, v: int) -> HicomResult:
             continue
         frozen = frozen | {u}
         trace.append(TraceStep("extend", i, (u,)))
-        _, cur_diam, ind_ecc = induced_metrics(g, frozen)
+        _, cur_diam, violators = induced_metrics(g, frozen)
 
     construction_k = domination_radius(g, frozen)
     construction_diameter = cur_diam
 
-    if any(ind_ecc[w] >= prof.eccentricity[w] for w in frozen):
+    if violators:
         repaired = repair(g, frozen, params).members
         trace.extend(TraceStep("repair", None, (u,)) for u in sorted(frozen - repaired))
         frozen = repaired

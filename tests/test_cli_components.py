@@ -174,6 +174,52 @@ def test_output_goes_only_to_the_current_stdout(tmp_path, corpus_file):
     assert done.stdout == "sentinel\n"
 
 
+# --- options that name a vertex or a file ------------------------------------------------
+
+@pytest.fixture
+def p5_p7(tmp_path):
+    """P5 on v1-v5 (centre v3) beside P7 on v6-v12 (centre v9)."""
+    path = tmp_path / "p5-p7.txt"
+    path.write_text(serialize_edge_list(disjoint_union([Graph(5, [(i, i + 1) for i in range(4)]),
+                                                       Graph(7, [(i, i + 1) for i in range(6)])])))
+    return str(path)
+
+
+@pytest.mark.parametrize("start, starts", [
+    ("v3", ["v3", "v9"]), ("2", ["v3", "v9"]), ("v9", ["v3", "v9"]), ("8", ["v3", "v9"]),
+])
+def test_hicom_start_is_one_vertex_of_the_whole_input(p5_p7, start, starts):
+    """``--start`` names one vertex of the input, as a label or a host
+    index; its component runs from it, the other from its own centre."""
+    code, out = call(["hicom", "--start", start, p5_p7])
+    entries = json.loads(out)["components"]
+    assert code == 0 and all("result" in e for e in entries), out
+    assert [e["result"]["start"] for e in entries] == starts
+
+
+@pytest.mark.parametrize("start", ["v13", "12", "-1", "x"])
+def test_hicom_start_that_names_no_vertex_is_a_usage_error(monkeypatch, p5_p7, start):
+    def never(*args, **kwargs):
+        raise AssertionError("hicom ran before --start was checked")
+
+    monkeypatch.setattr(cli, "hicom", never)
+    code, out = call(["hicom", f"--start={start}", p5_p7])
+    error = json.loads(out)["error"]
+    assert (code, error["code"]) == (1, "usage")
+    assert repr(start) in error["message"]
+
+
+def test_hicom_dot_on_a_disconnected_input_is_a_usage_error(p5_p7, tmp_path):
+    """One DOT file cannot hold a team per component, so the flag is
+    refused before any component runs."""
+    dot = tmp_path / "team.dot"
+    code, out = call(["hicom", "--dot", str(dot), p5_p7])
+    error = json.loads(out)["error"]
+    assert (code, error["code"]) == (1, "usage")
+    assert "--dot" in error["message"]
+    assert not dot.exists()
+
+
 # --- memory -------------------------------------------------------------------------------
 
 def test_hicom_on_the_corpus_union_holds_one_component_at_a_time(corpus_file):

@@ -1,5 +1,6 @@
-"""The eccentricity engine's three ways to finish, its memory bound, and
-a run of every subcommand where numpy cannot be imported.
+"""The eccentricity engine's three ways to finish, the team check that
+stops at its answer, its memory bound, and a run of every subcommand where
+numpy cannot be imported.
 
 Which way ``eccentricities`` finishes is read from calls to ``_sweep``
 (one per bit-parallel chunk) and ``_plain`` (one per plain finish); a run
@@ -15,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from comfnet import Graph, cycle_graph, path_graph
+from comfnet import Graph, cycle_graph, hicom, path_graph
 from comfnet import graphs
-from comfnet.graphs import CHUNK, bfs, eccentricities
+from comfnet.criteria import induced_metrics
+from comfnet.graphs import CHUNK, UNREACHABLE, bfs, eccentricities
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -84,6 +86,46 @@ def test_cycles_finish_one_search_per_vertex(finishes):
     assert eccentricities(g.adj, g.n) == one_search_each(g)
     assert finishes["_sweep"] == []
     assert len(finishes["_plain"]) == 1 and len(finishes["_plain"][0]) > g.n - 10
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_a_team_check_stops_at_its_answer(seed, finishes, monkeypatch):
+    """HICOM's 803-vertex team of a 32x32 grid: its diameter and its
+    violators need a few bounding searches, where settling every member's
+    eccentricity takes 58-80. Every search of the engine counts, the
+    first of which also finds whether the team is connected."""
+    g = grid(32, 32)
+    if seed is not None:
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    team = hicom(g, "3/2").team.members
+    for log in finishes.values():
+        log.clear()
+    searches = []
+    real = graphs.bfs
+
+    def counted(*args, **kwargs):
+        searches.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "bfs", counted)
+    assert induced_metrics(g, team) == (True, 42, ())
+    assert finishes == {"_sweep": [], "_plain": []}
+    assert len(searches) <= 8
+
+
+def test_bars_answer_only_the_team_questions():
+    """With bars, an entry is exact only where a question needs it: it
+    reaches its bar exactly when the eccentricity does, and the largest
+    entry is the diameter."""
+    for g in (path_graph(40), cycle_graph(31), grid(9, 13), narrow(300, 2)):
+        exact = one_search_each(g)
+        for bar in (exact, [e + 1 for e in exact], [UNREACHABLE] * g.n, [max(exact) // 2 + 1] * g.n):
+            ecc = eccentricities(g.adj, g.n, bar)
+            assert max(ecc) == max(exact)
+            assert [e >= b for e, b in zip(ecc, bar)] == [e >= b for e, b in zip(exact, bar)]
+            assert all(e <= x for e, x in zip(ecc, exact))
 
 
 def test_small_graphs():
