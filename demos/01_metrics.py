@@ -8,7 +8,6 @@ from comfnet import (
     graph_power,
     induced_subgraph,
     parse_edge_list,
-    shell,
 )
 
 print("A six-vertex path, written in the edge-list format the CLI reads:")
@@ -22,12 +21,13 @@ print(f"radius {profile.radius}, diameter {profile.diameter}, "
       f"center {[p6.labels[v] for v in profile.center]}, class {profile.class_label}")
 
 print("\nAll-pairs hop distances, computed on request (the graph caches only its profile):")
-for row in all_pairs_distances(p6):
+distances = all_pairs_distances(p6)
+for row in distances:
     print(" ", *row)
 
 print("\nShells around the central vertex v3 partition the graph:")
 for j in range(profile.eccentricity[2] + 1):
-    print(f"  distance {j}: {sorted(p6.labels[v] for v in shell(p6, 2, j))}")
+    print(f"  distance {j}: {[p6.labels[v] for v in range(p6.n) if distances[2][v] == j]}")
 
 print("\nThe subgraph induced by the interior vertices is a shorter path:")
 sub, hosts, _ = induced_subgraph(p6, {1, 2, 3, 4})

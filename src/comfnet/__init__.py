@@ -35,15 +35,12 @@ from .graphs import (
     Graph,
     UNREACHABLE,
     all_pairs_distances,
-    bfs_distances,
-    connected_components,
     eccentricity_profile,
     graph_digest,
     graph_power,
     induced_subgraph,
     parse_edge_list,
     serialize_edge_list,
-    shell,
     to_dot,
 )
 from .hicom import (

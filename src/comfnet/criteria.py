@@ -114,12 +114,7 @@ def parse_l(l) -> Fraction:
 def _member_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
     if isinstance(members, TeamCandidate):
         return members.members
-    out = frozenset(members)
-    if not out:
-        raise ValueError("a team must be nonempty")
-    if min(out) < 0 or max(out) >= g.n:
-        raise ValueError(f"team members out of range for n={g.n}")
-    return out
+    return TeamCandidate(g, frozenset(members)).members
 
 
 def induced_metrics(g: Graph, members: frozenset[int]):

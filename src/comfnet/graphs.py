@@ -198,13 +198,6 @@ def bfs(
     return levels, order
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Hop distances from ``source``; ``UNREACHABLE`` for other components."""
-    if not (0 <= source < g.n):
-        raise ValueError(f"source {source} out of range for n={g.n}")
-    return bfs(g.adj, (source,), g.n)[0]
-
-
 def all_pairs_distances(g: Graph) -> list[list[int]]:
     """The ``n x n`` distance rows, ``UNREACHABLE`` across components; one
     BFS per vertex, rows in vertex order."""
@@ -349,7 +342,7 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
     computed once per graph and cached.
 
     Raises on disconnected input: callers must decompose into components
-    first (see ``connected_components``).
+    first (see ``iter_components``).
     """
     if g._profile is not None:
         return g._profile
@@ -376,16 +369,6 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
         class_label=label,
     )
     return g._profile
-
-
-def shell(g: Graph, v: int, j: int) -> frozenset[int]:
-    """Vertices at exactly distance ``j`` from ``v`` (empty when j > e(v))."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    if j < 0:
-        raise ValueError(f"shell index must be >= 0, got {j}")
-    levels = bfs(g.adj, (v,), g.n)[0]
-    return frozenset(u for u, d in enumerate(levels) if d == j)
 
 
 def induced_subgraph(g: Graph, members: Iterable[int]) -> Induced:
@@ -416,12 +399,6 @@ def graph_power(g: Graph, k: int) -> Graph:
         levels, order = bfs(g.adj, (u,), g.n)
         edges.extend((u, w) for w in order if w > u and levels[w] <= k)
     return Graph(g.n, edges, labels=g.labels)
-
-
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Partition of the vertex set, parts ordered by their smallest vertex;
-    a single part iff the graph is connected."""
-    return [frozenset(part) for part in iter_components(g)]
 
 
 def iter_components(g: Graph) -> Iterator[list[int]]:

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable
 
 from .criteria import (
@@ -181,10 +181,11 @@ def replay_trace(g: Graph, trace: Iterable[TraceStep]) -> frozenset[int]:
     return frozenset(members)
 
 
-def extend_step(g: Graph, v: int, members: frozenset[int], i: int, d1: int) -> int | None:
-    """Pick the shell-i vertex whose addition pushes the induced diameter
-    up fastest without overshooting d1 or disconnecting the team; ties
-    break to the lowest index. None when the shell offers no usable vertex.
+def extend_step(g: Graph, shell: list[int], members: frozenset[int], d1: int) -> int | None:
+    """Pick the vertex of ``shell`` (vertices outside the team, ascending)
+    whose addition pushes the induced diameter up fastest without
+    overshooting d1 or disconnecting the team; ties break to the lowest
+    index. None when the shell offers no usable vertex.
 
     Candidates are ranked by the eccentricity the new vertex would take
     inside the grown team (one BFS each). That eccentricity is a lower
@@ -192,11 +193,9 @@ def extend_step(g: Graph, v: int, members: frozenset[int], i: int, d1: int) -> i
     shrink when a vertex is added, so a candidate within d1 never
     overshoots: the grown diameter is max(new eccentricity, old pairs).
     """
-    row = bfs(g.adj, (v,), g.n)[0]
-    shell_i = [u for u in range(g.n) if row[u] == i and u not in members]
     best_vertex = None
     best_ecc = -1
-    for u in shell_i:
+    for u in shell:
         grown = members | {u}
         levels, order = bfs(g.adj, (u,), g.n, grown)
         if len(order) < len(grown):
@@ -210,52 +209,56 @@ def extend_step(g: Graph, v: int, members: frozenset[int], i: int, d1: int) -> i
     return best_vertex
 
 
-#: Exhaustive repair scans 2^|D1| subsets; beyond this size only the greedy
-#: phase runs.
+def _standing(g: Graph, team: frozenset[int], d1: int) -> tuple[int, tuple[int, ...]] | None:
+    """``(k, violators)`` of a connected team whose induced diameter is at
+    most d1 and at least its domination radius k; None for any other
+    team. The team is HC for the l with d1 = bc_target(g, l) exactly when
+    it stands with no violators."""
+    connected, diameter, violators = induced_metrics(g, team)
+    if not connected or diameter > d1:
+        return None
+    k = domination_radius(g, team)
+    return (k, violators) if k <= diameter else None
+
+
+#: Exhaustive repair scans 2^|D1| subsets, so beyond this size only the
+#: greedy phase runs; beyond it the greedy phase also tries shedding every
+#: violator at once (the bulk shed) before single removals.
 EXHAUSTIVE_REPAIR_LIMIT = 18
 
 
 def _greedy_repair(g: Graph, current: frozenset[int], d1: int) -> frozenset[int] | None:
     """Remove one vertex at a time until every member drops its whole-graph
-    eccentricity. A removal must keep the team connected, the induced
-    diameter within d1, and the domination radius within the induced
-    diameter; candidates are ranked by the radius they leave behind, then
-    by how many violators remain, then by index. Removals are not limited
-    to the violators themselves: shedding a violator's far teammate is
-    often what lowers its eccentricity."""
-    for _ in range(len(current)):
-        violators = induced_metrics(g, current)[2]
-        if not violators:
-            return current
+    eccentricity. A removal must leave the team standing (``_standing``);
+    candidates are ranked by the radius they leave behind, then by how many
+    violators remain, then by index. Removals are not limited to the
+    violators themselves: shedding a violator's far teammate is often what
+    lowers its eccentricity."""
+    violators = induced_metrics(g, current)[2]
+    while violators:
         if len(current) == 1:
             return None
         if len(current) > EXHAUSTIVE_REPAIR_LIMIT and len(violators) > 1:
             # large candidates: shedding every violator at once usually lands
             # directly on a valid core and skips the quadratic rescan rounds
             bulk = current - set(violators)
-            if bulk:
-                connected, diam_after, _ = induced_metrics(g, bulk)
-                if connected and diam_after <= d1:
-                    k_after = domination_radius(g, bulk)
-                    if k_after <= diam_after:
-                        current = bulk
-                        continue
-        best = None  # ((k_after, violators_after, vertex), shrunk team)
+            standing = _standing(g, bulk, d1) if bulk else None
+            if standing is not None:
+                current, violators = bulk, standing[1]
+                continue
+        best = None  # ((k_after, violators_after, vertex), shrunk team, its violators)
         for v in sorted(current):
             shrunk = current - {v}
-            connected, diam_after, viol_after = induced_metrics(g, shrunk)
-            if not connected or diam_after > d1:
+            standing = _standing(g, shrunk, d1)
+            if standing is None:
                 continue
-            k_after = domination_radius(g, shrunk)
-            if k_after > diam_after:
-                continue
-            key = (k_after, len(viol_after), v)
+            key = (standing[0], len(standing[1]), v)
             if best is None or key < best[0]:
-                best = (key, shrunk)
+                best = (key, shrunk, standing[1])
         if best is None:
             return None
-        current = best[1]
-    return None
+        _, current, violators = best
+    return current
 
 
 def _exhaustive_repair(g: Graph, members: frozenset[int], d1: int) -> frozenset[int] | None:
@@ -305,9 +308,6 @@ def small_diameter_fallback(g: Graph) -> TeamCandidate | None:
     prof = eccentricity_profile(g)
     if prof.diameter > 2:
         raise ValueError(f"fallback applies to diameter <= 2, got {prof.diameter}")
-    if g.n == 1:
-        return TeamCandidate(g, frozenset({0}))
-
     adjsets = [set(nbrs) for nbrs in g.adj]
 
     def dominates(clique: tuple[int, ...]) -> bool:
@@ -364,6 +364,8 @@ def hicom(
     """
     if not g.is_connected():
         raise ValueError("hicom requires a connected graph")
+    if start is not None and not 0 <= start < g.n:
+        raise ValueError(f"start vertex {start} out of range for n={g.n}")
     frac = _validate_l(l, allow_large_l)
     prof = eccentricity_profile(g)
 
@@ -398,7 +400,7 @@ def hicom(
     if start is not None:
         if start not in prof.center:
             raise ValueError(
-                f"start vertex {start} is not central (eccentricity "
+                f"start vertex {g.labels[start]} is not central (eccentricity "
                 f"{prof.eccentricity[start]} != radius {prof.radius})"
             )
         starts = (start,)
@@ -410,7 +412,7 @@ def hicom(
     first_error: HicomError | None = None
     for v in starts:
         try:
-            return _attempt(g, prof, params, v)
+            return _attempt(g, params, v)
         except HicomError as exc:
             if first_error is None:
                 first_error = exc
@@ -424,28 +426,26 @@ def hicom(
     raise first_error
 
 
-def _attempt(g: Graph, prof, params: HcParams, v: int) -> HicomResult:
+def _attempt(g: Graph, params: HcParams, v: int) -> HicomResult:
     """One run from a fixed central start: ball, extension, repair, check."""
     d1 = params.d1
     x = d1 // 2
-    dist_row = bfs(g.adj, (v,), g.n)[0]
-    shells: list[list[int]] = [[] for _ in range(x + 1)]
-    for u, d in enumerate(dist_row):
-        if d <= x:
-            shells[d].append(u)
-    trace = [TraceStep("ball", j, tuple(shell)) for j, shell in enumerate(shells)]
+    levels, order = bfs(g.adj, (v,), g.n)
+    shells = [sorted(shell) for _, shell in groupby(order, key=levels.__getitem__)]
+    ball = shells[: x + 1]
+    trace = [TraceStep("ball", j, tuple(shell)) for j, shell in enumerate(ball)]
 
-    frozen = frozenset(u for shell in shells for u in shell)
+    frozen = frozenset(u for shell in ball for u in shell)
     _, cur_diam, violators = induced_metrics(g, frozen)
     unreached = False
     i = x
     while cur_diam < d1:
         i += 1
-        if i > prof.eccentricity[v]:
+        if i >= len(shells):
             trace.append(TraceStep("unreached", i, ()))
             unreached = True
             break
-        u = extend_step(g, v, frozen, i, d1)
+        u = extend_step(g, shells[i], frozen, d1)
         if u is None:
             trace.append(TraceStep("exhausted", i, ()))
             continue
@@ -591,20 +591,17 @@ def two_hc_feasibility(g: Graph) -> FeasibilityPrediction:
 def extend_to_max(g: Graph, result: HicomResult | TeamCandidate, l) -> TeamCandidate:
     """Greedy maximization: keep adding the lowest-index vertex whose
     addition preserves all four HC conditions; stops at a fixpoint."""
-    frac = parse_l(l)
-    base = result.team.members if isinstance(result, HicomResult) else result.members
-    members = set(base)
-    changed = True
-    while changed:
-        changed = False
+    d1 = bc_target(g, l)
+    members = result.team.members if isinstance(result, HicomResult) else result.members
+    while True:
         for u in range(g.n):
-            if u in members:
-                continue
-            if check_hc(g, members | {u}, frac).is_hc:
-                members.add(u)
-                changed = True
-                break
-    return TeamCandidate(g, frozenset(members))
+            if u not in members:
+                standing = _standing(g, members | {u}, d1)
+                if standing is not None and not standing[1]:
+                    members = members | {u}
+                    break
+        else:
+            return TeamCandidate(g, members)
 
 
 @dataclass(frozen=True)

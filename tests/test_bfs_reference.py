@@ -14,7 +14,7 @@ lollipops, which join the two kinds, and narrow random graphs.
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, groupby
 
 import pytest
 from hypothesis import given, settings
@@ -23,16 +23,14 @@ from hypothesis import strategies as st
 from comfnet import (
     Graph,
     UNREACHABLE,
-    connected_components,
     domination_radius,
     eccentricity_profile,
     graph_power,
     induced_subgraph,
     reduction_witness,
-    shell,
 )
 from comfnet.criteria import SubsetEvaluator, induced_metrics
-from comfnet.graphs import bfs
+from comfnet.graphs import bfs, iter_components
 
 nx = pytest.importorskip("networkx")
 
@@ -149,10 +147,14 @@ def test_subset_profile_matches_networkx(g, data):
 @given(graphs(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_shell_matches_networkx(g, data):
+    """A search's visit order, cut where the level changes, gives the
+    shells 0, 1, ... around its source: the cut ``hicom`` makes."""
     v = data.draw(st.integers(0, g.n - 1))
-    j = data.draw(st.integers(0, g.n))
+    levels, order = bfs(g.adj, (v,), g.n)
+    shells = [set(shell) for _, shell in groupby(order, key=levels.__getitem__)]
     lengths = nx.single_source_shortest_path_length(as_nx(g), v)
-    assert shell(g, v, j) == {u for u, d in lengths.items() if d == j}
+    assert shells == [{u for u, d in lengths.items() if d == j} for j in range(len(shells))]
+    assert len(shells) == max(lengths.values()) + 1
 
 
 @given(graphs(max_n=20))
@@ -160,7 +162,7 @@ def test_shell_matches_networkx(g, data):
 def test_connected_components_match_networkx(g):
     # both list the parts in the order of their smallest vertex
     expected = [frozenset(part) for part in nx.connected_components(as_nx(g))]
-    assert connected_components(g) == expected
+    assert [frozenset(part) for part in iter_components(g)] == expected
 
 
 @st.composite

