@@ -409,22 +409,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _handle(args) -> int:
+    """Run the chosen handler; every failure but a closed stdout ends in an
+    error object and its exit code."""
     try:
         l = parse_l(args.l) if getattr(args, "l", None) is not None else None
         if hasattr(args, "cap"):
             args.cap = oracle_cap(args.cap)  # checked up front
         # looked up at call time, so a handler replaced after the parser
         # was built is the one that runs
-        code = globals()[args.handler](args, l)
-        sys.stdout.flush()  # a reader that has gone shows here, not at exit
-        return code
+        return globals()[args.handler](args, l)
     except BrokenPipeError:
-        # the reader has gone: what is left, and the flush at exit, go to devnull
-        with contextlib.suppress(OSError, ValueError):  # stdout has no descriptor
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_USAGE
+        raise
     except EdgeListParseError as exc:
         return _emit_error("parse", str(exc), EXIT_USAGE)
     except HicomError as exc:
@@ -437,6 +433,19 @@ def run(argv=None) -> int:
         return _emit_error("resource", "out of memory; the input is too large", EXIT_USAGE)
     except Exception as exc:  # pragma: no cover - defensive envelope
         return _emit_error("internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
+
+
+def run(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        code = _handle(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: what is left, and the flush at exit, go to devnull
+        with contextlib.suppress(OSError, ValueError):  # stdout has no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 main = run

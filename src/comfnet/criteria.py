@@ -146,10 +146,11 @@ def induced_metrics(g: Graph, members: frozenset[int]):
 
 class SubsetEvaluator:
     """Per-graph scratch for exhaustive scans over vertex subsets of a
-    connected graph. A subset is an int bitmask (bit v for vertex v); the
-    evaluator holds the host eccentricities, one neighbourhood mask per
-    vertex and the full mask. Each search below can stop at a bound, so a
-    scan pays only for the conditions a subset reaches."""
+    connected graph, and the one exhaustive search over them (``best``).
+    A subset is an int bitmask (bit v for vertex v); the evaluator holds
+    the host eccentricities, one neighbourhood mask per vertex and the
+    full mask. Each search below can stop at a bound, so a scan pays only
+    for the conditions a subset reaches."""
 
     def __init__(self, g: Graph):
         self.adj = g.adj
@@ -161,9 +162,10 @@ class SubsetEvaluator:
     def members(self, mask: int) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if mask >> v & 1)
 
-    def conflicts(self, target: int | None = None) -> tuple[int, ...]:
-        """Per vertex v, the mask of the vertices u with d(u, v) >=
-        min(ecc(u), ecc(v), target + 1), from one search per vertex.
+    def conflicts(self, target: int | None = None, within: int | None = None) -> tuple[int, ...]:
+        """Per vertex v of ``within`` (default: every vertex), the mask of
+        the u in ``within`` with d(u, v) >= min(ecc(u), ecc(v), target + 1),
+        from one search per vertex; 0 for the vertices outside it.
 
         An induced distance is never shorter than the host distance, so in
         any vertex set holding such a pair, u or v has an induced
@@ -172,17 +174,21 @@ class SubsetEvaluator:
         ceiling, and so does every set that contains it."""
         ecc, n = self.ecc, self.n
         ceiling = UNREACHABLE if target is None else target + 1
-        out = []
-        for v in range(n):
+        vertices = self.members(self.full if within is None else within)
+        out = [0] * n
+        for v in vertices:
             levels = bfs(self.adj, (v,), n)[0]
             reach = min(ecc[v], ceiling)
-            out.append(sum(1 << u for u in range(n) if levels[u] >= min(reach, ecc[u])))
+            out[v] = sum(1 << u for u in vertices if levels[u] >= min(reach, ecc[u]))
         return tuple(out)
 
-    def connected_sets(self, limit, conflicts: tuple[int, ...] | None = None):
+    def connected_sets(self, limit, conflicts: tuple[int, ...] | None = None,
+                       within: int | None = None):
         """Depth-first ESU walk (Wernicke, IEEE/ACM TCBB 3(4), 2006): yield
         ``(mask, closed neighbourhood mask, size)`` for every connected
-        vertex set of at most ``limit()`` vertices, each exactly once.
+        vertex set inside ``within`` (default: every vertex) of at most
+        ``limit()`` vertices, each exactly once. The closed neighbourhood
+        is the set's own in the host.
 
         The sets rooted at v are those whose smallest vertex is v; a set
         grows only by vertices above v that neighbour the newest member and
@@ -194,10 +200,11 @@ class SubsetEvaluator:
         are yielded."""
         nbr = self.nbr
         clash = (0,) * self.n if conflicts is None else conflicts
+        within = self.full if within is None else within
         if limit() < 1:
             return
-        for v in range(self.n):
-            above = self.full ^ ((2 << v) - 1)
+        for v in self.members(within):
+            above = within & ~((2 << v) - 1)
             root = 1 << v
             yield root, root | nbr[v], 1
             stack = [(root, nbr[v] & above, root | nbr[v])]
@@ -216,6 +223,79 @@ class SubsetEvaluator:
                 child = (sub | low, ext | (w & above & ~closed), closed | w)
                 yield child[0], child[2], len(stack) + 1
                 stack.append(child)
+
+    def best(self, test, sizes: range, conflicts: tuple[int, ...] | None = None,
+             within: int | None = None):
+        """The best connected set inside ``within`` that ``test`` passes
+        among the sizes in ``sizes``, as ``(size, k, witness)``: the first
+        such size in the order of ``sizes``, then the minimal k that
+        ``test(mask, closed)`` returns, then the lexicographically first
+        witness. None when no set passes. Once a size is found, a walk for
+        the smallest goes no deeper. ``conflicts`` lets the walk skip sets
+        that ``test`` must reject."""
+        largest = sizes.step < 0
+        max_size = max(sizes, default=0)
+        found = None  # (size rank in scan order, k, witness)
+
+        def limit():
+            return max_size if found is None or largest else found[0]
+
+        for mask, closed, size in self.connected_sets(limit, conflicts, within):
+            rank = -size if largest else size
+            if found is not None and rank > found[0]:
+                continue
+            k = test(mask, closed)
+            if k is None or (found is not None and (rank, k) > found[:2]):
+                continue
+            candidate = (rank, k, self.members(mask))
+            if found is None or candidate < found:
+                found = candidate
+        return None if found is None else (abs(found[0]), found[1], found[2])
+
+    def kind_test(self, kind: str, target: int | None = None):
+        """Test of one team kind over a connected set: ``test(mask, closed)``
+        returns its domination radius k when the set qualifies, else None.
+
+        Conditions run cheapest first: the domination radius (k <= 1 for
+        'comfortable' and 'cds', k <= target for 'hc'), then the member
+        searches, which stop at the first member whose induced eccentricity
+        reaches its host eccentricity or passes the target.
+
+        The 'bc' kind uses the tight-diameter reading: the team's induced
+        diameter must equal the target exactly, i.e. the team spends its
+        whole communication budget. Under the lenient <= reading every
+        non-universal singleton qualifies (diameter 0, huge domination
+        radius) and the minimum collapses to 1, which contradicts the
+        worked C6 value; the tight reading reproduces it. The 'hc' kind
+        keeps <=: its accessibility condition k <= diam already rules the
+        degenerate sets out, and the heuristic-vs-exact ratio needs the
+        global size minimum.
+        """
+        full = self.full
+
+        def cds(mask, closed):
+            if closed != full:
+                return None
+            return 0 if mask == full else 1
+
+        def comfortable(mask, closed):
+            if closed != full or self.less_dispersive_diameter(mask) is None:
+                return None
+            return 1  # a proper subset; the whole vertex set is never less dispersive
+
+        def bc(mask, closed):
+            if self.less_dispersive_diameter(mask, target) != target:
+                return None
+            return self.radius(mask, closed)
+
+        def hc(mask, closed):
+            k = self.radius(mask, closed, target)
+            if k is None:
+                return None
+            diameter = self.less_dispersive_diameter(mask, target)
+            return None if diameter is None or k > diameter else k
+
+        return {"cds": cds, "comfortable": comfortable, "bc": bc, "hc": hc}[kind]
 
     def neighbours(self, mask: int) -> int:
         """Union of the neighbourhoods of the vertices in ``mask``."""

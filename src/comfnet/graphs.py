@@ -97,15 +97,9 @@ class Graph:
         """Each edge once, as ``(u, w)`` with ``u < w``; built on each call."""
         return frozenset((u, w) for u, row in enumerate(self.adj) for w in row if w > u)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     @property
     def max_degree(self) -> int:
         return max(len(nbrs) for nbrs in self.adj)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self.adj[u]

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import groupby
 from typing import Iterable
 
 from .criteria import (
@@ -221,9 +221,9 @@ def _standing(g: Graph, team: frozenset[int], d1: int) -> tuple[int, tuple[int, 
     return (k, violators) if k <= diameter else None
 
 
-#: Exhaustive repair scans 2^|D1| subsets, so beyond this size only the
-#: greedy phase runs; beyond it the greedy phase also tries shedding every
-#: violator at once (the bulk shed) before single removals.
+#: Exhaustive repair walks the connected subsets of the candidate, up to
+#: 2^|D1|, so beyond this size only the greedy phase runs, which then also
+#: tries shedding every violator at once (the bulk shed) before single removals.
 EXHAUSTIVE_REPAIR_LIMIT = 18
 
 
@@ -262,19 +262,20 @@ def _greedy_repair(g: Graph, current: frozenset[int], d1: int) -> frozenset[int]
 
 
 def _exhaustive_repair(g: Graph, members: frozenset[int], d1: int) -> frozenset[int] | None:
-    """Fallback when the greedy walk dead-ends: scan subsets of the
-    candidate largest-first for one meeting every condition. Bounded by
-    EXHAUSTIVE_REPAIR_LIMIT; order is deterministic."""
+    """Fallback when the greedy walk dead-ends: the largest connected subset
+    of the candidate that is HC for the target d1, the lexicographically
+    first of its size. Bounded by EXHAUSTIVE_REPAIR_LIMIT."""
     if len(members) > EXHAUSTIVE_REPAIR_LIMIT:
         return None
     ev = SubsetEvaluator(g)
-    pool = sorted(members)
-    for size in range(len(pool) - 1, 0, -1):
-        for subset in combinations(pool, size):
-            connected, diameter, less, k = ev.profile(subset)
-            if connected and less and diameter <= d1 and k <= diameter:
-                return frozenset(subset)
-    return None
+    within = sum(1 << v for v in members)
+    hc = ev.kind_test("hc", d1)
+
+    def test(mask, closed):  # every HC subset ranks alike, so ties go to the first
+        return None if hc(mask, closed) is None else 0
+
+    found = ev.best(test, range(len(members) - 1, 0, -1), ev.conflicts(d1, within), within)
+    return None if found is None else frozenset(found[2])
 
 
 def repair(g: Graph, members: Iterable[int], params: HcParams) -> TeamCandidate:
@@ -282,7 +283,7 @@ def repair(g: Graph, members: Iterable[int], params: HcParams) -> TeamCandidate:
     while holding the diameter and accessibility conditions.
 
     A greedy one-at-a-time walk runs first; if it dead-ends, a bounded
-    exhaustive scan over subsets of the candidate takes over. Raises
+    exhaustive scan over the candidate's connected subsets takes over. Raises
     ``RepairFailed`` (stuck candidate attached) when neither finds a team.
     """
     current = members.members if isinstance(members, TeamCandidate) else frozenset(members)
@@ -308,29 +309,14 @@ def small_diameter_fallback(g: Graph) -> TeamCandidate | None:
     prof = eccentricity_profile(g)
     if prof.diameter > 2:
         raise ValueError(f"fallback applies to diameter <= 2, got {prof.diameter}")
-    adjsets = [set(nbrs) for nbrs in g.adj]
-
-    def dominates(clique: tuple[int, ...]) -> bool:
-        covered = set(clique)
-        for v in clique:
-            covered |= adjsets[v]
-        return len(covered) == g.n
-
     if g.n <= 20:
-        level: list[tuple[int, ...]] = [(v,) for v in range(g.n)]
-        while level:
-            for clique in level:
-                if dominates(clique):
-                    return TeamCandidate(g, frozenset(clique))
-            nxt = []
-            for clique in level:
-                common = set(range(clique[-1] + 1, g.n))
-                for v in clique:
-                    common &= adjsets[v]
-                nxt.extend(clique + (u,) for u in sorted(common))
-            level = nxt
-        return None
+        # non-neighbours conflict, so the walk visits cliques only
+        ev = SubsetEvaluator(g)
+        strangers = tuple(ev.full ^ nbr ^ (1 << v) for v, nbr in enumerate(ev.nbr))
+        found = ev.best(ev.kind_test("cds"), range(1, g.n + 1), strangers)
+        return None if found is None else TeamCandidate(g, frozenset(found[2]))
 
+    adjsets = [set(nbrs) for nbrs in g.adj]
     # greedy: grow a clique inside the common neighborhood, maximizing coverage
     start = max(range(g.n), key=lambda v: (len(adjsets[v]), -v))
     clique = [start]

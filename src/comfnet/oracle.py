@@ -1,17 +1,15 @@
 """Exhaustive ground truth on small graphs.
 
-Every team kind and every connected dominating set is connected, so the
-scans walk the connected vertex sets only, as bitmasks, and test each one
-against its kind, cheapest condition first. The smallest feasible
-cardinality wins (the largest, for maximization); within it the minimal
-domination radius is the secondary objective and lexicographic order
-breaks remaining ties. ``enumerated`` counts every subset of the
-cardinalities scanned, connected or not.
-The team scans also skip every set that holds a conflicting pair: two
-vertices whose host distance reaches the eccentricity of either one, or
-passes the induced-diameter ceiling. An induced distance is never shorter
-than the host distance, so such a set and all its supersets fail the
-team test, and skipping them leaves every answer as it was. The CDS scan
+Every team kind and every connected dominating set is connected, so each
+answer is one ``SubsetEvaluator.best`` walk over the connected vertex sets,
+tested against the kind cheapest condition first (``kind_test``). The
+smallest feasible cardinality wins (the largest, for maximization); within
+it the minimal domination radius is the secondary objective and
+lexicographic order breaks remaining ties. ``enumerated`` counts every
+subset of the cardinalities scanned, connected or not.
+The team scans also skip every set that holds a conflicting pair
+(``SubsetEvaluator.conflicts``); such a set and all its supersets fail the
+team test, so skipping them leaves every answer as it was. The CDS scan
 has no such condition and walks every connected set.
 Infeasibility is a first-class answer: whole graph families admit no
 comfortable team, and the enumerator proves it by exhaustion.
@@ -102,83 +100,16 @@ def _check_cap(g: Graph, cap: int | None) -> None:
         )
 
 
-def _kind_test(ev: SubsetEvaluator, kind: str, target: int | None):
-    """Test of one team kind over a connected set: ``test(mask, closed)``
-    returns its domination radius k when the set qualifies, else None.
-
-    Conditions run cheapest first: the domination radius (k <= 1 for
-    'comfortable' and 'cds', k <= target for 'hc'), then the member
-    searches, which stop at the first member whose induced eccentricity
-    reaches its host eccentricity or passes the target.
-
-    The 'bc' minimization uses the tight-diameter reading: the team's
-    induced diameter must equal the target exactly, i.e. the team spends
-    its whole communication budget. Under the lenient <= reading every
-    non-universal singleton qualifies (diameter 0, huge domination radius)
-    and the minimum collapses to 1, which contradicts the worked C6 value;
-    the tight reading reproduces it. The 'hc' kind keeps <=: its
-    accessibility condition k <= diam already rules the degenerate sets
-    out, and the heuristic-vs-exact ratio needs the global size minimum.
-    """
-    full = ev.full
-
-    def cds(mask, closed):
-        if closed != full:
-            return None
-        return 0 if mask == full else 1
-
-    def comfortable(mask, closed):
-        if closed != full or ev.less_dispersive_diameter(mask) is None:
-            return None
-        return 1  # a proper subset; the whole vertex set is never less dispersive
-
-    def bc(mask, closed):
-        if ev.less_dispersive_diameter(mask, target) != target:
-            return None
-        return ev.radius(mask, closed)
-
-    def hc(mask, closed):
-        k = ev.radius(mask, closed, target)
-        if k is None:
-            return None
-        diameter = ev.less_dispersive_diameter(mask, target)
-        return None if diameter is None or k > diameter else k
-
-    return {"cds": cds, "comfortable": comfortable, "bc": bc, "hc": hc}[kind]
-
-
-def _scan(
-    kind: str, l, ev: SubsetEvaluator, test, sizes: range, conflicts=None
-) -> OracleAnswer:
-    """The best connected set ``test`` passes among the sizes in ``sizes``:
-    the first such size in that order, then the minimal k, then the
-    lexicographically first witness. ``enumerated`` counts every subset of
-    the sizes scanned up to the optimum, connected or not. Once a size is
-    found, a walk for the smallest goes no deeper. ``conflicts`` (from
-    ``SubsetEvaluator.conflicts``) lets the walk skip sets that ``test``
-    must reject."""
-    largest = sizes.step < 0
-    max_size = max(sizes, default=0)
-    best = None  # (size rank in scan order, k, witness)
-
-    def limit():
-        return max_size if best is None or largest else best[0]
-
-    for mask, closed, size in ev.connected_sets(limit, conflicts):
-        rank = -size if largest else size
-        if best is not None and rank > best[0]:
-            continue
-        k = test(mask, closed)
-        if k is None or (best is not None and (rank, k) > best[:2]):
-            continue
-        found = (rank, k, ev.members(mask))
-        if best is None or found < best:
-            best = found
-    if best is None:
+def _answer(kind: str, l, ev: SubsetEvaluator, test, sizes: range, conflicts=None) -> OracleAnswer:
+    """``ev.best`` over ``sizes`` as an answer of ``kind``. ``enumerated``
+    counts every subset of the sizes scanned up to the optimum, connected
+    or not."""
+    found = ev.best(test, sizes, conflicts)
+    if found is None:
         return OracleAnswer(kind, l, None, None, None, sum(math.comb(ev.n, s) for s in sizes))
-    rank, k, witness = best
-    scanned = sizes[: sizes.index(abs(rank)) + 1]
-    return OracleAnswer(kind, l, abs(rank), witness, k, sum(math.comb(ev.n, s) for s in scanned))
+    size, k, witness = found
+    scanned = sizes[: sizes.index(size) + 1]
+    return OracleAnswer(kind, l, size, witness, k, sum(math.comb(ev.n, s) for s in scanned))
 
 
 def exact_min_team(g: Graph, kind: str, l=None, cap: int | None = None) -> OracleAnswer:
@@ -199,8 +130,7 @@ def exact_min_team(g: Graph, kind: str, l=None, cap: int | None = None) -> Oracl
         frac = parse_l(l)
         target = bc_target(g, frac)
     ev = SubsetEvaluator(g)
-    test = _kind_test(ev, kind, target)
-    return _scan(kind, frac, ev, test, range(1, g.n), ev.conflicts(target))
+    return _answer(kind, frac, ev, ev.kind_test(kind, target), range(1, g.n), ev.conflicts(target))
 
 
 def exact_max_team(g: Graph, l, cap: int | None = None) -> OracleAnswer:
@@ -211,8 +141,8 @@ def exact_max_team(g: Graph, l, cap: int | None = None) -> OracleAnswer:
     frac = parse_l(l)
     target = bc_target(g, frac)
     ev = SubsetEvaluator(g)
-    test = _kind_test(ev, "hc", target)
-    return _scan("hc-max", frac, ev, test, range(g.n - 1, 0, -1), ev.conflicts(target))
+    test = ev.kind_test("hc", target)
+    return _answer("hc-max", frac, ev, test, range(g.n - 1, 0, -1), ev.conflicts(target))
 
 
 def exact_min_cds(g: Graph, cap: int | None = None) -> OracleAnswer:
@@ -222,7 +152,7 @@ def exact_min_cds(g: Graph, cap: int | None = None) -> OracleAnswer:
         raise ValueError("oracle requires a connected graph")
     _check_cap(g, cap)
     ev = SubsetEvaluator(g)
-    return _scan("cds", None, ev, _kind_test(ev, "cds", None), range(1, g.n + 1))
+    return _answer("cds", None, ev, ev.kind_test("cds"), range(1, g.n + 1))
 
 
 def reduction_witness(

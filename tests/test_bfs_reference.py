@@ -263,6 +263,30 @@ def test_connected_sets_are_the_connected_subsets(g, data):
         assert closed == sum(1 << v for v in set(m).union(*(h[u] for u in m)))
 
 
+@given(graphs(max_n=9, connected=True), st.data())
+@settings(max_examples=60, deadline=None)
+def test_connected_sets_within_a_mask_are_its_connected_subsets(g, data):
+    """Closed neighbourhoods stay the host's own, outside the mask too."""
+    within = data.draw(st.sets(st.integers(0, g.n - 1)))
+    h = as_nx(g)
+    walked = [
+        (tuple(v for v in range(g.n) if mask >> v & 1), closed)
+        for mask, closed, _ in SubsetEvaluator(g).connected_sets(
+            lambda: g.n, within=sum(1 << v for v in within)
+        )
+    ]
+    members = [m for m, _ in walked]
+    assert len(members) == len(set(members))
+    assert set(members) == {
+        s
+        for size in range(1, len(within) + 1)
+        for s in combinations(sorted(within), size)
+        if nx.is_connected(h.subgraph(s))
+    }
+    for m, closed in walked:
+        assert closed == sum(1 << v for v in set(m).union(*(h[u] for u in m)))
+
+
 def from_nx(h, seed=None):
     """comfnet Graph of a networkx graph, vertices renumbered in node order
     or, with a seed, in a shuffled order."""

@@ -4,7 +4,9 @@ The sha1 digests below were taken from the whole-payload ``json.dumps``
 output of the CLI before components were streamed, so the per-component
 driver has to reproduce those bytes exactly. The digests of the relabelled
 corpus were taken before ``hicom``'s repair became one walk: its ties follow
-vertex indices, so they pin which vertex each tie gives up.
+vertex indices, so they pin which vertex each tie gives up. The digest of
+the diameter-two input was taken before the dominating-clique search moved
+onto the connected-set walk.
 """
 
 import contextlib
@@ -83,6 +85,20 @@ def some_fail_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def diameter_two_file(tmp_path_factory):
+    """C4, C5, K4 - e, K3,3 and the Petersen graph: every component has
+    diameter <= 2, so hicom takes its dominating-clique fallback on each."""
+    k4_minus_edge = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    petersen = Graph(10, [(i, j) for i in range(5) for j in ((i + 1) % 5, i + 5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    path = tmp_path_factory.mktemp("union") / "diameter_two.txt"
+    union = disjoint_union([cycle_graph(4), cycle_graph(5), k4_minus_edge, k33, petersen])
+    path.write_text(serialize_edge_list(union))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def none_succeed_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("union") / "none_succeed.txt"
     path.write_text("5 2\n0 1\n2 3\n")  # K2, K2 and a lone vertex: no team anywhere
@@ -110,6 +126,7 @@ GOLDEN_SHA1 = {
     "oracle-cds-small": (0, "c4e7082ff19f55fa81e0199f0c02cd5c79ed2370"),
     "hicom-some-fail": (0, "7c4421d46b2a1fad05ad8c68fd54b490258190d4"),
     "hicom-none-succeed": (2, "928529d5f647a66bfbefc7b5ce1c47d052655f52"),
+    "hicom-diameter-two": (0, "90cedfba23f403b23d8b5d3661dce327b2f8d297"),
     "oracle-min-some-fail": (1, "30521e54c37172457d8fa0c1d211f8cd3c9cb432"),
 }
 
@@ -126,6 +143,7 @@ CASES = {
     "oracle-cds-small": (["oracle", "cds"], "small_file"),
     "hicom-some-fail": (["hicom"], "some_fail_file"),
     "hicom-none-succeed": (["hicom"], "none_succeed_file"),
+    "hicom-diameter-two": (["hicom"], "diameter_two_file"),
     "oracle-min-some-fail": (["oracle", "min", "--kind", "hc"], "some_fail_file"),
 }
 
@@ -167,10 +185,13 @@ def test_a_failure_on_the_way_leaves_only_the_error_object(capsys, monkeypatch, 
 
 
 def test_a_reader_that_closes_early_gets_no_traceback(tmp_path):
+    """Exit 1 and a quiet stderr whether the reader goes mid-output or has
+    gone before the first byte, also when the run ends in an error object."""
     path = tmp_path / "pairs.txt"  # 3 000 components: far more output than a pipe holds
     path.write_text("6000 3000\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(3000)))
+    env = {"PYTHONPATH": str(SRC)}
     child = subprocess.Popen(
-        [sys.executable, "-m", "comfnet.cli", "analyze", str(path)], env={"PYTHONPATH": str(SRC)},
+        [sys.executable, "-m", "comfnet.cli", "analyze", str(path)], env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert child.stdout.readline() == b"{\n"
@@ -179,6 +200,24 @@ def test_a_reader_that_closes_early_gets_no_traceback(tmp_path):
     child.stderr.close()
     assert child.wait(timeout=120) == 1
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+    star = tmp_path / "star.txt"  # diameter 2 and its dominating clique is no team
+    star.write_text("4 3\n0 1\n0 2\n0 3\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("4 3\n0 1\n0 x\n")
+    for graph in (star, bad):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "comfnet.cli", "hicom", str(graph)], env=env,
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        stderr = done.stderr.decode()
+        assert done.returncode == 1, (graph.name, stderr)
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
 
 
 def test_output_goes_only_to_the_current_stdout(tmp_path, corpus_file):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from comfnet import Graph, exact_max_team, exact_min_cds, exact_min_team
 from comfnet.criteria import SubsetEvaluator, bc_target
-from comfnet.oracle import OracleAnswer, _kind_test
+from comfnet.oracle import OracleAnswer
 
 nx = pytest.importorskip("networkx")
 from test_bfs_reference import as_nx, graphs  # noqa: E402  (after the skip)
@@ -39,10 +39,10 @@ def walks_seen():
     walk = SubsetEvaluator.connected_sets
     seen = []
 
-    def spy(self, limit, conflicts=None):
+    def spy(self, limit, conflicts=None, within=None):
         record = {"conflicts": conflicts, "yielded": 0}
         seen.append(record)
-        for item in walk(self, limit, conflicts):
+        for item in walk(self, limit, conflicts, within):
             record["yielded"] += 1
             yield item
 
@@ -75,6 +75,17 @@ def test_conflicts_match_their_definition(g, target):
     assert SubsetEvaluator(g).conflicts(target) == expected
 
 
+@given(graphs(max_n=12, connected=True), st.sampled_from([None, 1, 2, 3]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_conflicts_within_a_mask_are_its_rows_cut_to_it(g, target, data):
+    within = data.draw(st.sets(st.integers(0, g.n - 1)))
+    mask = sum(1 << v for v in within)
+    ev = SubsetEvaluator(g)
+    rows = ev.conflicts(target)
+    expected = tuple(row & mask if v in within else 0 for v, row in enumerate(rows))
+    assert ev.conflicts(target, mask) == expected
+
+
 @given(graphs(max_n=9, connected=True))
 @settings(max_examples=40, deadline=None)
 def test_every_set_the_walk_may_skip_fails_its_kind(g):
@@ -105,7 +116,7 @@ def scan_without_masks(g, kind, l):
     then the lexicographically first witness."""
     ev = SubsetEvaluator(g)
     target = None if kind in ("comfortable", "cds") else bc_target(g, l)
-    test = _kind_test(ev, "hc" if kind == "max" else kind, target)
+    test = ev.kind_test("hc" if kind == "max" else kind, target)
     n = g.n
     sizes = {"max": range(n - 1, 0, -1), "cds": range(1, n + 1)}.get(kind, range(1, n))
     best = {}  # size -> (k, witness)
