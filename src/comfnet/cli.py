@@ -83,32 +83,37 @@ def _emit_error(code: str, message: str, exit_code: int) -> int:
     return exit_code
 
 
+def _read_text(path: str) -> str:
+    return sys.stdin.read() if path == "-" else Path(path).read_text()
+
+
 def _load_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return parse_edge_list(text)
+    return parse_edge_list(_read_text(path))
+
+
+def _vertex(g: Graph, token: str, where: str) -> int:
+    """The vertex ``token`` names as a label, else as a 0-based index; a
+    usage error that starts with ``where`` when it is neither."""
+    try:
+        return g.vertex_for_label(token)
+    except KeyError:
+        pass
+    try:
+        index = int(token)
+    except ValueError:
+        index = -1
+    if not 0 <= index < g.n:
+        raise ValueError(f"{where} {token!r}: no vertex has this label or index 0..{g.n - 1}")
+    return index
 
 
 def _read_team(path: str, g: Graph) -> frozenset[int]:
     """Team file: one vertex label (or 0-based index) per line, '#' comments."""
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     members = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        token = line.split()[0]
-        try:
-            members.append(g.vertex_for_label(token))
-            continue
-        except KeyError:
-            pass
-        try:
-            index = int(token)
-        except ValueError:
-            raise ValueError(f"team file line {lineno}: unknown vertex {token!r}") from None
-        if not (0 <= index < g.n):
-            raise ValueError(f"team file line {lineno}: index {index} out of range 0..{g.n - 1}")
-        members.append(index)
+        if line and not line.startswith("#"):
+            members.append(_vertex(g, line.split()[0], f"team file line {lineno}: vertex"))
     if not members:
         raise ValueError("team file lists no vertices")
     return frozenset(members)
@@ -142,20 +147,6 @@ def cmd_analyze(args, l: Fraction | None) -> int:
     return EXIT_OK
 
 
-def _start_label(g: Graph, start: str | None) -> str | None:
-    """The label of the ``--start`` vertex of the whole input, read as a
-    label, else as a 0-based index; a usage error when it is neither."""
-    if start is None or start in g.labels:
-        return start
-    try:
-        index = int(start)
-    except ValueError:
-        index = -1
-    if not 0 <= index < g.n:
-        raise ValueError(f"--start {start!r}: no vertex has this label or index 0..{g.n - 1}")
-    return g.labels[index]
-
-
 def _hicom_payload(sub: Graph, args, l: Fraction) -> dict:
     """``args.start`` is a label: the component that holds it runs from it,
     every other from its own centres."""
@@ -173,7 +164,8 @@ def _hicom_payload(sub: Graph, args, l: Fraction) -> dict:
 
 def cmd_hicom(args, l: Fraction | None) -> int:
     g = _load_graph(args.graph)
-    args.start = _start_label(g, args.start)
+    if args.start is not None:  # resolved once on the whole input, as a label
+        args.start = g.labels[_vertex(g, args.start, "--start")]
     if g.is_connected():
         _emit(_hicom_payload(g, args, l))
         return EXIT_OK
@@ -191,6 +183,8 @@ def cmd_hicom(args, l: Fraction | None) -> int:
 
 
 def cmd_verify(args, l: Fraction | None) -> int:
+    if args.graph == "-" and args.team == "-":
+        raise ValueError("--team - and the graph cannot both read stdin; give one of them as a file")
     g = _load_graph(args.graph)
     members = _read_team(args.team, g)
     if not g.is_connected():
@@ -276,9 +270,9 @@ def cmd_gen(args, l: Fraction | None) -> int:
     return EXIT_OK
 
 
-def _time_best_of(fn, repeats: int = 3) -> float:
+def _time_best_of(fn) -> float:
     best = math.inf
-    for _ in range(repeats):
+    for _ in range(3):
         begin = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - begin)

@@ -16,12 +16,12 @@ from .graphs import Graph, eccentricity_profile
 GNP_BASE_SEED = 46301
 
 
-def trees_corpus(min_n: int = 4, max_n: int = 9, min_diameter: int = 3) -> list[Graph]:
+def trees_corpus(min_n: int = 4, max_n: int = 9) -> list[Graph]:
     """All non-isomorphic trees in the size range with diameter >= 3."""
     graphs = []
     for n in range(min_n, max_n + 1):
         for g in enumerate_trees(n):
-            if eccentricity_profile(g).diameter >= min_diameter:
+            if eccentricity_profile(g).diameter >= 3:
                 graphs.append(g)
     return graphs
 
@@ -34,14 +34,9 @@ def paths_corpus(lo: int = 4, hi: int = 10) -> list[Graph]:
     return [path_graph(n) for n in range(lo, hi + 1)]
 
 
-def gnp_corpus(
-    count: int = 200,
-    min_n: int = 10,
-    max_n: int = 40,
-    min_diameter: int = 3,
-    base_seed: int = GNP_BASE_SEED,
-) -> list[Graph]:
-    """Connected G(n, p) samples of diameter >= min_diameter, fixed seeds.
+def gnp_corpus(count: int = 200) -> list[Graph]:
+    """Connected G(n, p) samples with 10 <= n <= 40 and diameter >= 3,
+    from seeds fixed by ``GNP_BASE_SEED``.
 
     Densities sit a little above the connectivity threshold so samples
     are usually connected yet keep a nontrivial diameter; draws failing
@@ -55,16 +50,16 @@ def gnp_corpus(
     stream = 0
     while len(graphs) < count:
         stream += 1
-        rng = random.Random(base_seed + stream)
-        n = rng.randint(min_n, max_n)
+        rng = random.Random(GNP_BASE_SEED + stream)
+        n = rng.randint(10, 40)
         base = math.log(n) / n
         lo = min(0.9, 1.1 * base)
         hi = max(lo, min(0.9, 2.2 * base))
         p = rng.uniform(lo, hi)
-        g = gnp(n, p, seed=base_seed + 7919 * stream)
+        g = gnp(n, p, seed=GNP_BASE_SEED + 7919 * stream)
         if not g.is_connected():
             continue
-        if eccentricity_profile(g).diameter < min_diameter:
+        if eccentricity_profile(g).diameter < 3:
             continue
         graphs.append(g)
     return graphs
@@ -75,9 +70,10 @@ def standard_corpus() -> list[Graph]:
     return trees_corpus() + cycles_corpus() + gnp_corpus()
 
 
-def small_corpus(max_n: int = 12) -> list[Graph]:
-    """The standard corpus restricted to graphs within the oracle's reach."""
-    return [g for g in standard_corpus() if g.n <= max_n]
+def small_corpus() -> list[Graph]:
+    """The standard corpus restricted to graphs within the oracle's reach,
+    n <= 12."""
+    return [g for g in standard_corpus() if g.n <= 12]
 
 
 def parse_corpus_spec(spec: str) -> list[Graph]:

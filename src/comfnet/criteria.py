@@ -69,18 +69,17 @@ class TeamReport:
     def is_bc(self) -> bool:
         return self.verdict.endswith("-BC") or self.is_hc
 
-    def to_json_dict(self, labels=None) -> dict:
-        name = (lambda v: labels[v]) if labels is not None else (lambda v: v)
+    def to_json_dict(self, labels) -> dict:
         diam = None if self.induced_diameter >= UNREACHABLE else self.induced_diameter
         return {
-            "team": [name(v) for v in self.team],
+            "team": [labels[v] for v in self.team],
             "l": str(self.l),
             "is_connected": self.is_connected,
             "is_dominating_1": self.is_dominating_1,
             "domination_radius": self.domination_radius,
             "induced_diameter": diam,
             "less_dispersive": self.less_dispersive,
-            "violators": [name(v) for v in self.violators],
+            "violators": [labels[v] for v in self.violators],
             "bc_target": self.bc_target,
             "bc_condition": self.bc_condition,
             "hc_condition": self.hc_condition,
@@ -297,47 +296,41 @@ class SubsetEvaluator:
 
         return {"cds": cds, "comfortable": comfortable, "bc": bc, "hc": hc}[kind]
 
-    def neighbours(self, mask: int) -> int:
-        """Union of the neighbourhoods of the vertices in ``mask``."""
+    def _search(self, seen: int, frontier: int, level: int, within: int, stop: int) -> int | None:
+        """The bitmask twin of ``graphs.bfs``: a search inside ``within``
+        that has reached ``seen``, with ``frontier`` at depth ``level``. The
+        depth at which it reaches all of ``within``; UNREACHABLE when it
+        stops short, None as soon as that depth is known to reach ``stop``."""
         nbr = self.nbr
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= nbr[low.bit_length() - 1]
-            mask ^= low
-        return out
+        while seen != within:
+            if level + 1 >= stop:
+                return None
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= nbr[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & within & ~seen
+            if not frontier:
+                return UNREACHABLE
+            seen |= frontier
+            level += 1
+        return level
 
     def radius(self, mask: int, closed: int, bound: int = UNREACHABLE) -> int | None:
         """Domination radius of ``mask``, the deepest level of one search
         from all of it (``closed`` is its closed neighbourhood, level one);
-        None as soon as it is known to exceed ``bound``."""
-        full = self.full
-        if mask == full:
+        None as soon as it is known to exceed ``bound``. The host is
+        connected, so the search reaches every vertex."""
+        if mask == self.full:
             return 0
-        seen, frontier, k = closed, closed & ~mask, 1
-        while seen != full:  # the host is connected, so every level grows
-            if k >= bound:
-                return None
-            frontier = self.neighbours(frontier) & ~seen
-            seen |= frontier
-            k += 1
-        return k
+        return self._search(closed, closed & ~mask, 1, self.full, bound + 1)
 
     def eccentricity_within(self, v: int, mask: int, stop: int = UNREACHABLE) -> int | None:
         """Eccentricity of member v inside ``mask``: UNREACHABLE when some
         member cannot be reached, None as soon as it is known to reach
         ``stop``."""
-        seen = frontier = 1 << v
-        e = 0
-        while seen != mask:
-            if e + 1 >= stop:
-                return None
-            frontier = self.neighbours(frontier) & mask & ~seen
-            if not frontier:
-                return UNREACHABLE
-            seen |= frontier
-            e += 1
-        return e
+        return self._search(1 << v, 1 << v, 0, mask, stop)
 
     def less_dispersive_diameter(self, mask: int, cap: int = UNREACHABLE) -> int | None:
         """Induced diameter of a connected ``mask`` whose every member's
@@ -348,8 +341,7 @@ class SubsetEvaluator:
         while rest:
             low = rest & -rest
             rest ^= low
-            v = low.bit_length() - 1
-            e = self.eccentricity_within(v, mask, min(self.ecc[v], cap + 1))
+            e = self._search(low, low, 0, mask, min(self.ecc[low.bit_length() - 1], cap + 1))
             if e is None:
                 return None
             if e > diameter:

@@ -46,8 +46,6 @@ def random_tree(n: int, seed: int = 0) -> Graph:
         raise ValueError(f"tree needs n >= 1, got {n}")
     if n == 1:
         return Graph(1)
-    if n == 2:
-        return Graph(2, [(0, 1)])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -81,15 +79,13 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
     return Graph(n, edges)
 
 
-def connected_gnp(n: int, p: float, seed: int = 0, max_tries: int = 1000) -> Graph:
-    """First connected G(n, p) sample along a seed-derived attempt sequence."""
-    for attempt in range(max_tries):
+def connected_gnp(n: int, p: float, seed: int = 0) -> Graph:
+    """First connected G(n, p) sample among 1000 seed-derived attempts."""
+    for attempt in range(1000):
         g = gnp(n, p, seed=seed * 100003 + attempt)
         if g.is_connected():
             return g
-    raise ValueError(
-        f"no connected G({n}, {p}) sample within {max_tries} tries for seed {seed}"
-    )
+    raise ValueError(f"no connected G({n}, {p}) sample within 1000 tries for seed {seed}")
 
 
 def generate(

@@ -144,14 +144,13 @@ class EccentricityProfile:
     periphery: tuple[int, ...]
     class_label: str
 
-    def to_json_dict(self, labels: Sequence[str] | None = None) -> dict:
-        name = (lambda v: labels[v]) if labels is not None else (lambda v: v)
+    def to_json_dict(self, labels: Sequence[str]) -> dict:
         return {
             "eccentricity": list(self.eccentricity),
             "radius": self.radius,
             "diameter": self.diameter,
-            "center": [name(v) for v in self.center],
-            "periphery": [name(v) for v in self.periphery],
+            "center": [labels[v] for v in self.center],
+            "periphery": [labels[v] for v in self.periphery],
             "class": self.class_label,
         }
 

@@ -10,6 +10,7 @@ raises instead of returning a weaker team.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -86,12 +87,11 @@ class TraceStep:
     shell: int | None
     vertices: tuple[int, ...]
 
-    def to_json_dict(self, labels=None) -> dict:
-        name = (lambda v: labels[v]) if labels is not None else (lambda v: v)
+    def to_json_dict(self, labels) -> dict:
         return {
             "op": self.op,
             "shell": self.shell,
-            "vertices": [name(v) for v in self.vertices],
+            "vertices": [labels[v] for v in self.vertices],
         }
 
 
@@ -105,14 +105,14 @@ class BoundCheck:
     holds: bool
     context: str
 
+    @classmethod
+    def of(cls, name: str, lhs, rhs, context: str) -> BoundCheck:
+        """The check of ``lhs <= rhs``, decided on the exact values (ints
+        or Fractions) and recorded as floats."""
+        return cls(name, float(lhs), float(rhs), lhs <= rhs, context)
+
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "context": self.context,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class HicomResult:
     trace: tuple[TraceStep, ...]
     report: TeamReport
 
-    def to_json_dict(self, labels=None) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "team": [self.team.host.labels[v] for v in sorted(self.team.members)],
             "team_size": len(self.team.members),
@@ -236,8 +236,6 @@ def _greedy_repair(g: Graph, current: frozenset[int], d1: int) -> frozenset[int]
     lowers its eccentricity."""
     violators = induced_metrics(g, current)[2]
     while violators:
-        if len(current) == 1:
-            return None
         if len(current) > EXHAUSTIVE_REPAIR_LIMIT and len(violators) > 1:
             # large candidates: shedding every violator at once usually lands
             # directly on a valid core and skips the quadratic rescan rounds
@@ -492,33 +490,11 @@ def verify_k_bound(result: HicomResult, g: Graph) -> list[BoundCheck]:
     r = prof.radius
     a = result.achieved_diameter
     context = f"{graph_digest(g)} l={result.l} d1={result.d1}"
-    checks = [
-        BoundCheck(
-            name="construction k <= r(G) - x",
-            lhs=float(result.construction_k),
-            rhs=float(r - result.x),
-            holds=result.construction_k <= r - result.x,
-            context=context,
-        ),
-        BoundCheck(
-            name="k <= r(G) - x",
-            lhs=float(result.k),
-            rhs=float(r - a // 2),
-            holds=result.k <= r - a // 2,
-            context=context,
-        ),
+    return [
+        BoundCheck.of("construction k <= r(G) - x", result.construction_k, r - result.x, context),
+        BoundCheck.of("k <= r(G) - x", result.k, r - a // 2, context),
+        BoundCheck.of("k <= r(G) - diam(<D1>)/2 + 1/2", result.k, Fraction(2 * r - a + 1, 2), context),
     ]
-    relaxed_rhs = Fraction(r) - Fraction(a, 2) + Fraction(1, 2)
-    checks.append(
-        BoundCheck(
-            name="k <= r(G) - diam(<D1>)/2 + 1/2",
-            lhs=float(result.k),
-            rhs=float(relaxed_rhs),
-            holds=Fraction(result.k) <= relaxed_rhs,
-            context=context,
-        )
-    )
-    return checks
 
 
 @dataclass(frozen=True)

@@ -42,13 +42,12 @@ class OracleAnswer:
     secondary_optimum: int | None  # minimal domination radius at the optimum size
     enumerated: int
 
-    def to_json_dict(self, labels=None) -> dict:
-        name = (lambda v: labels[v]) if labels is not None else (lambda v: v)
+    def to_json_dict(self, labels) -> dict:
         return {
             "kind": self.kind,
             "l": None if self.l is None else str(self.l),
             "optimum": self.optimum,
-            "witness": None if self.witness is None else [name(v) for v in self.witness],
+            "witness": None if self.witness is None else [labels[v] for v in self.witness],
             "k": self.secondary_optimum,
             "enumerated": self.enumerated,
         }
@@ -92,12 +91,17 @@ def oracle_cap(cap: int | None = None) -> int:
     return cap
 
 
-def _check_cap(g: Graph, cap: int | None) -> None:
+def _evaluator(g: Graph, cap: int | None) -> SubsetEvaluator:
+    """The scan scratch of ``g``, once ``g`` passes the guards every exact
+    scan shares: connected, with at most ``oracle_cap(cap)`` vertices."""
+    if not g.is_connected():
+        raise ValueError("oracle requires a connected graph")
     limit = oracle_cap(cap)
     if g.n > limit:
         raise ValueError(
             f"oracle cap exceeded: n={g.n} > {limit} (raise the cap argument to override)"
         )
+    return SubsetEvaluator(g)
 
 
 def _answer(kind: str, l, ev: SubsetEvaluator, test, sizes: range, conflicts=None) -> OracleAnswer:
@@ -121,26 +125,19 @@ def exact_min_team(g: Graph, kind: str, l=None, cap: int | None = None) -> Oracl
     """
     if kind not in ("comfortable", "bc", "hc"):
         raise ValueError(f"unknown team kind {kind!r}")
-    if not g.is_connected():
-        raise ValueError("oracle requires a connected graph")
-    _check_cap(g, cap)
-    frac = None
-    target = None
+    ev = _evaluator(g, cap)
+    frac = target = None
     if kind in ("bc", "hc"):
         frac = parse_l(l)
         target = bc_target(g, frac)
-    ev = SubsetEvaluator(g)
     return _answer(kind, frac, ev, ev.kind_test(kind, target), range(1, g.n), ev.conflicts(target))
 
 
 def exact_max_team(g: Graph, l, cap: int | None = None) -> OracleAnswer:
     """Exact maximum-cardinality team passing all four HC conditions."""
-    if not g.is_connected():
-        raise ValueError("oracle requires a connected graph")
-    _check_cap(g, cap)
+    ev = _evaluator(g, cap)
     frac = parse_l(l)
     target = bc_target(g, frac)
-    ev = SubsetEvaluator(g)
     test = ev.kind_test("hc", target)
     return _answer("hc-max", frac, ev, test, range(g.n - 1, 0, -1), ev.conflicts(target))
 
@@ -148,10 +145,7 @@ def exact_max_team(g: Graph, l, cap: int | None = None) -> OracleAnswer:
 def exact_min_cds(g: Graph, cap: int | None = None) -> OracleAnswer:
     """Minimum connected dominating set; the whole vertex set counts here
     (it is trivially connected and dominating), unlike the team kinds."""
-    if not g.is_connected():
-        raise ValueError("oracle requires a connected graph")
-    _check_cap(g, cap)
-    ev = SubsetEvaluator(g)
+    ev = _evaluator(g, cap)
     return _answer("cds", None, ev, ev.kind_test("cds"), range(1, g.n + 1))
 
 
@@ -260,24 +254,8 @@ def bound_sweep(corpus: Iterable[Graph], l, cap: int | None = None):
         k_star = answer.secondary_optimum
         diam = eccentricity_profile(g).diameter
         context = f"{digest} l={frac} k*={k_star}"
-        lower = frac * (k_star - 1)
-        upper = frac * (2 * k_star + 1) / (frac - 1)
+        checks.append(BoundCheck.of("l(k*-1) <= diam(G)", frac * (k_star - 1), diam, context))
         checks.append(
-            BoundCheck(
-                name="l(k*-1) <= diam(G)",
-                lhs=float(lower),
-                rhs=float(diam),
-                holds=lower <= diam,
-                context=context,
-            )
-        )
-        checks.append(
-            BoundCheck(
-                name="diam(G) <= l(2k*+1)/(l-1)",
-                lhs=float(diam),
-                rhs=float(upper),
-                holds=diam <= upper,
-                context=context,
-            )
+            BoundCheck.of("diam(G) <= l(2k*+1)/(l-1)", diam, frac * (2 * k_star + 1) / (frac - 1), context)
         )
     return checks, skipped

@@ -11,6 +11,7 @@ from comfnet.cli import main
 from conftest import P6_TEXT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -164,6 +165,12 @@ def test_hicom_disconnected_runs_per_component(capsys, tmp_path):
     assert "error" in edge_entry
 
 
+def test_hicom_single_start_failure_is_infeasible_exit(capsys):
+    code, payload = run_json(capsys, "hicom", "--start", "v1", str(DATA / "no_team_n15.txt"))
+    assert code == 2
+    assert payload["error"]["code"] == "infeasible"
+
+
 # --- verify ------------------------------------------------------------------------
 
 def test_verify_round_trip(capsys, c6_file, tmp_path):
@@ -199,6 +206,27 @@ def test_verify_team_spanning_components(capsys, tmp_path):
     code, payload = run_json(capsys, "verify", "--l", "3/2", "--team", str(team_file), str(graph_file))
     assert code == 2
     assert "components" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("team", ["v9\nv4\nv5\n", "8\n3\n4\n"], ids=["labels", "host-indices"])
+def test_verify_team_in_second_component(capsys, tmp_path, team):
+    # a triangle, then a 6-cycle on v4..v9 whose team {v4, v5, v9} is 3/2-HC
+    graph_file = tmp_path / "two.txt"
+    graph_file.write_text("9 9\n0 1\n1 2\n0 2\n3 4\n4 5\n5 6\n6 7\n7 8\n3 8\n")
+    team_file = tmp_path / "team.txt"
+    team_file.write_text(team)
+    code, report = run_json(capsys, "verify", "--l", "3/2", "--team", str(team_file), str(graph_file))
+    assert code == 0
+    assert report["team"] == ["v4", "v5", "v9"]
+    assert report["verdict"] == "3/2-HC"
+
+
+def test_verify_refuses_team_and_graph_both_on_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n0 1\n1 2\n"))
+    code, payload = run_json(capsys, "verify", "--team", "-")
+    assert code == 1
+    assert payload["error"]["code"] == "usage"
+    assert "stdin" in payload["error"]["message"]
 
 
 def test_verify_unknown_vertex(capsys, c6_file, tmp_path):

@@ -173,7 +173,7 @@ def test_check_hc_disconnected_short_circuits(c6):
     assert report.induced_diameter == UNREACHABLE
     assert not report.bc_condition and not report.hc_condition
     assert report.verdict == "none"
-    assert report.to_json_dict()["induced_diameter"] is None
+    assert report.to_json_dict(c6.labels)["induced_diameter"] is None
 
 
 def test_report_json_stable_keys(c6):

@@ -21,6 +21,7 @@ from comfnet import (
     exact_max_team,
     exact_min_team,
     extend_to_max,
+    gnp,
     hicom,
     is_dominating,
     parse_edge_list,
@@ -213,6 +214,12 @@ def test_repair_failure_attaches_candidate():
     assert exc.value.candidate
 
 
+def test_repair_of_a_one_vertex_graph_fails():
+    # the lone vertex keeps its eccentricity 0, and no removal leaves a team
+    with pytest.raises(RepairFailed):
+        repair(Graph(1), {0}, HcParams(l=L32, d1=1))
+
+
 def test_repair_runs_shrink_but_stay_valid(p6):
     result = hicom(p6, L32)
     # the even-path run sheds an endpoint and lands on the interior path
@@ -253,6 +260,15 @@ def test_fallback_complete_graph_single_vertex():
     assert small_diameter_fallback(complete_graph(5)).members == {0}
 
 
+def test_fallback_greedy_finds_no_dominating_clique():
+    # n > 20 takes the greedy clique search, which dead-ends here
+    g = gnp(30, 0.45, seed=13)
+    assert eccentricity_profile(g).diameter == 2
+    assert small_diameter_fallback(g) is None
+    with pytest.raises(NoFeasibleTeam):
+        hicom(g, L32)
+
+
 def test_fallback_rejects_large_diameter(p6):
     with pytest.raises(ValueError):
         small_diameter_fallback(p6)
@@ -288,6 +304,13 @@ def test_no_feasible_team_graphs_raise(name):
     for l in (L32, Fraction(2)):
         with pytest.raises(HicomError):
             hicom(g, l)
+
+
+def test_single_start_raises_its_own_failure():
+    # with one start there is no retry to summarise: the run's error surfaces
+    g = parse_edge_list((DATA / "no_team_n15.txt").read_text())
+    with pytest.raises(RepairFailed):
+        hicom(g, "3/2", start=eccentricity_profile(g).center[0])
 
 
 # --- bounds and predictions --------------------------------------------------------

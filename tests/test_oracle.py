@@ -254,5 +254,5 @@ def test_oracle_answer_json(c6):
     assert payload["witness"] == ["v1", "v2", "v3"]
     assert payload["k"] == 2
     assert payload["l"] == "3/2"
-    payload = exact_min_team(c6, "comfortable").to_json_dict()
+    payload = exact_min_team(c6, "comfortable").to_json_dict(c6.labels)
     assert payload["optimum"] is None and payload["witness"] is None
