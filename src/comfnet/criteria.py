@@ -126,8 +126,11 @@ def induced_metrics(g: Graph, members: frozenset[int]):
     renumbered 0..k-1, with the host eccentricities as its bars, so it
     settles only what the two answers need; its first search finds a team
     that is not connected. When some teammate cannot be reached inside the
-    team, the diameter is UNREACHABLE and every member is a violator.
+    team, the diameter is UNREACHABLE and every member is a violator. The
+    empty team reads as not connected.
     """
+    if not members:
+        return False, UNREACHABLE, ()
     team = sorted(members)
     index = {v: i for i, v in enumerate(team)}
     adj = [[index[w] for w in g.adj[v] if w in index] for v in team]
@@ -152,7 +155,6 @@ class SubsetEvaluator:
     for the conditions a subset reaches."""
 
     def __init__(self, g: Graph):
-        self.adj = g.adj
         self.ecc = eccentricity_profile(g).eccentricity
         self.nbr = tuple(sum(1 << w for w in nbrs) for nbrs in g.adj)
         self.full = (1 << g.n) - 1
@@ -163,26 +165,49 @@ class SubsetEvaluator:
 
     def conflicts(self, target: int | None = None, within: int | None = None) -> tuple[int, ...]:
         """Per vertex v of ``within`` (default: every vertex), the mask of
-        the u in ``within`` with d(u, v) >= min(ecc(u), ecc(v), target + 1),
-        from one search per vertex; 0 for the vertices outside it.
+        the u in ``within`` with d(u, v) >= min(ecc(u), ecc(v), target + 1);
+        0 for the vertices outside it. The condition is symmetric in u and
+        v, so the rows are too: u is in row v exactly when v is in row u.
+
+        Row v is read off v's balls in the host, one mask per hop level,
+        against the vertices of ``within`` grouped by eccentricity: the
+        group of eccentricity e keeps what lies outside the ball of radius
+        min(e, ecc(v), target + 1) - 1.
 
         An induced distance is never shorter than the host distance, so in
         any vertex set holding such a pair, u or v has an induced
         eccentricity that reaches its host eccentricity or passes
         ``target``: the set fails less-dispersiveness or the diameter
         ceiling, and so does every set that contains it."""
-        ecc, n = self.ecc, self.n
+        ecc, nbr = self.ecc, self.nbr
         ceiling = UNREACHABLE if target is None else target + 1
         vertices = self.members(self.full if within is None else within)
-        out = [0] * n
+        groups: dict[int, int] = {}  # eccentricity -> its vertices in ``within``
+        for u in vertices:
+            groups[ecc[u]] = groups.get(ecc[u], 0) | 1 << u
+        out = [0] * self.n
         for v in vertices:
-            levels = bfs(self.adj, (v,), n)[0]
             reach = min(ecc[v], ceiling)
-            out[v] = sum(1 << u for u in vertices if levels[u] >= min(reach, ecc[u]))
+            radii = [(min(e, reach), group) for e, group in groups.items()]
+            deepest = max(r for r, _ in radii)
+            balls = [0, 1 << v]  # balls[r]: the vertices at distance below r
+            frontier = 1 << v
+            while len(balls) <= deepest:
+                grown = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grown |= nbr[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = grown & ~balls[-1]
+                balls.append(balls[-1] | frontier)
+            row = 0
+            for r, group in radii:
+                row |= group & ~balls[r]
+            out[v] = row
         return tuple(out)
 
     def connected_sets(self, limit, conflicts: tuple[int, ...] | None = None,
-                       within: int | None = None):
+                       within: int | None = None, floor=None):
         """Depth-first ESU walk (Wernicke, IEEE/ACM TCBB 3(4), 2006): yield
         ``(mask, closed neighbourhood mask, size)`` for every connected
         vertex set inside ``within`` (default: every vertex) of at most
@@ -191,37 +216,65 @@ class SubsetEvaluator:
 
         The sets rooted at v are those whose smallest vertex is v; a set
         grows only by vertices above v that neighbour the newest member and
-        nothing before it. The stack holds one path of the walk. ``limit``
-        is read again before every step down, so a caller may lower it.
-        Given the masks of ``conflicts``, a step that adds a vertex
-        conflicting with the set is skipped with its whole subtree, whose
-        sets all hold that pair, so only sets free of conflicting pairs
-        are yielded."""
+        nothing before it. The current step and the stack of steps above
+        it hold one path of the walk. ``limit`` (and ``floor``) are read
+        again after every yield, the only time a caller can change them, so
+        a caller may lower the limit.
+
+        Given the masks of ``conflicts``, which must be symmetric (u in row
+        v exactly when v is in row u), only sets free of conflicting pairs
+        are yielded. Each step carries the OR of its members' rows, and no
+        extension set holds a vertex of it: a set with such a vertex, and
+        every set it grows into, holds a conflicting pair. The sets free of
+        conflicts come out in the same order as without the masks.
+
+        Given ``floor``, a set whose size plus the vertices it could still
+        add (its extension set, and the vertices above v outside its closed
+        neighbourhood that conflict with none of its members) stays below
+        ``floor()`` is not yielded, and its whole subtree is skipped: no
+        set in it reaches that size."""
         nbr = self.nbr
         clash = (0,) * self.n if conflicts is None else conflicts
         within = self.full if within is None else within
-        if limit() < 1:
+        cap = limit()
+        least = 0 if floor is None else floor()
+        if cap < 1:
             return
         for v in self.members(within):
             above = within & ~((2 << v) - 1)
             root = 1 << v
+            bad = clash[v]
+            if least > 1 and (above & ~bad).bit_count() + 1 < least:
+                continue
             yield root, root | nbr[v], 1
-            stack = [(root, nbr[v] & above, root | nbr[v])]
-            while stack:
-                sub, ext, closed = stack[-1]
-                if not ext or len(stack) >= limit():
-                    stack.pop()
-                    continue
-                low = ext & -ext
-                ext ^= low
-                stack[-1] = (sub, ext, closed)
-                u = low.bit_length() - 1
-                if clash[u] & sub:
-                    continue
-                w = nbr[u]
-                child = (sub | low, ext | (w & above & ~closed), closed | w)
-                yield child[0], child[2], len(stack) + 1
-                stack.append(child)
+            cap = limit()
+            if floor is not None:
+                least = floor()
+            sub, ext, closed, size = root, nbr[v] & above & ~bad, root | nbr[v], 1
+            stack = []  # the steps above, each with the extension set it has left
+            while True:
+                if ext and size < cap:
+                    low = ext & -ext
+                    ext ^= low
+                    u = low.bit_length() - 1
+                    grown = bad | clash[u]
+                    step = (ext | (nbr[u] & above & ~closed)) & ~grown
+                    reach = closed | nbr[u]
+                    if least > size + 1 and size + 1 + step.bit_count() + (
+                            above & ~reach & ~grown).bit_count() < least:
+                        continue
+                    yield sub | low, reach, size + 1
+                    cap = limit()
+                    if floor is not None:
+                        least = floor()
+                    stack.append((sub, ext, closed, bad))
+                    sub, ext, closed, bad = sub | low, step, reach, grown
+                    size += 1
+                elif stack:
+                    sub, ext, closed, bad = stack.pop()
+                    size -= 1
+                else:
+                    break
 
     def best(self, test, sizes: range, conflicts: tuple[int, ...] | None = None,
              within: int | None = None):
@@ -229,9 +282,15 @@ class SubsetEvaluator:
         among the sizes in ``sizes``, as ``(size, k, witness)``: the first
         such size in the order of ``sizes``, then the minimal k that
         ``test(mask, closed)`` returns, then the lexicographically first
-        witness. None when no set passes. Once a size is found, a walk for
-        the smallest goes no deeper. ``conflicts`` lets the walk skip sets
-        that ``test`` must reject."""
+        witness. None when no set passes.
+
+        The walk is bounded three ways. ``conflicts`` keeps every set that
+        ``test`` must reject for a conflicting pair out of the walk. Once a
+        size is found, a walk for the smallest goes no deeper, and a walk
+        for the largest (``sizes`` descending) skips every subtree that
+        cannot reach that size; sets of the size found are still walked,
+        so ties resolve as in a full scan. The third bound is the tests'
+        own: ``kind_test`` rejects a set by its size before any search."""
         largest = sizes.step < 0
         max_size = max(sizes, default=0)
         found = None  # (size rank in scan order, k, witness)
@@ -239,7 +298,11 @@ class SubsetEvaluator:
         def limit():
             return max_size if found is None or largest else found[0]
 
-        for mask, closed, size in self.connected_sets(limit, conflicts, within):
+        def floor():
+            return 0 if found is None else -found[0]
+
+        walk = self.connected_sets(limit, conflicts, within, floor if largest else None)
+        for mask, closed, size in walk:
             rank = -size if largest else size
             if found is not None and rank > found[0]:
                 continue
@@ -255,10 +318,13 @@ class SubsetEvaluator:
         """Test of one team kind over a connected set: ``test(mask, closed)``
         returns its domination radius k when the set qualifies, else None.
 
-        Conditions run cheapest first: the domination radius (k <= 1 for
-        'comfortable' and 'cds', k <= target for 'hc'), then the member
-        searches, which stop at the first member whose induced eccentricity
-        reaches its host eccentricity or passes the target.
+        Conditions run cheapest first: the set's size, then the domination
+        radius (k <= 1 for 'comfortable' and 'cds', k <= target for 'hc'),
+        then the member searches, which stop at the first member whose
+        induced eccentricity reaches its host eccentricity or passes the
+        target. A connected set of t vertices has induced diameter at most
+        t - 1, so 'hc' (k <= diameter) needs k < t and 'bc' (diameter equal
+        to the target) needs t > target; both are read before any search.
 
         The 'bc' kind uses the tight-diameter reading: the team's induced
         diameter must equal the target exactly, i.e. the team spends its
@@ -283,12 +349,12 @@ class SubsetEvaluator:
             return 1  # a proper subset; the whole vertex set is never less dispersive
 
         def bc(mask, closed):
-            if self.less_dispersive_diameter(mask, target) != target:
+            if mask.bit_count() <= target or self.less_dispersive_diameter(mask, target) != target:
                 return None
             return self.radius(mask, closed)
 
         def hc(mask, closed):
-            k = self.radius(mask, closed, target)
+            k = self.radius(mask, closed, min(target, mask.bit_count() - 1))
             if k is None:
                 return None
             diameter = self.less_dispersive_diameter(mask, target)

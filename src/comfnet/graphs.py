@@ -222,6 +222,8 @@ def eccentricities(
     vertices are farther apart) and the largest upper bound still open;
     only the vertices that keep a question open are finished.
     """
+    if n == 0:
+        raise ValueError("eccentricities need at least one vertex")
     lo = [0] * n
     up = [UNREACHABLE] * n
     left = list(range(n))  # vertices whose bounds still differ

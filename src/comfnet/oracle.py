@@ -7,10 +7,20 @@ smallest feasible cardinality wins (the largest, for maximization); within
 it the minimal domination radius is the secondary objective and
 lexicographic order breaks remaining ties. ``enumerated`` counts every
 subset of the cardinalities scanned, connected or not.
-The team scans also skip every set that holds a conflicting pair
-(``SubsetEvaluator.conflicts``); such a set and all its supersets fail the
-team test, so skipping them leaves every answer as it was. The CDS scan
-has no such condition and walks every connected set.
+Three bounds keep the walk to the sets that can still win, and none
+changes an answer, a witness, ``k`` or ``enumerated``:
+
+- the team scans skip every set that holds a conflicting pair
+  (``SubsetEvaluator.conflicts``); such a set and all its supersets fail
+  the team test. The CDS scan has no such condition and walks every
+  connected set;
+- the HC and BC tests reject a set by its size first: a connected set of
+  t vertices has induced diameter at most t - 1, so HC needs k < t and BC
+  needs t above the ceiling;
+- the maximum scan skips every subtree that cannot reach the best size
+  found, and still walks the sets of that size, so ties resolve as in a
+  full scan.
+
 Infeasibility is a first-class answer: whole graph families admit no
 comfortable team, and the enumerator proves it by exhaustion.
 """

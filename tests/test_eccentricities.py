@@ -135,6 +135,22 @@ def test_small_graphs():
         eccentricities(((1,), (0,), ()), 3)
 
 
+def test_no_vertices_is_refused_up_front():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        eccentricities([], 0, [])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        eccentricities([], 0)
+
+
+def test_empty_team_reads_not_connected_without_a_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the empty team needs no search")
+
+    monkeypatch.setattr("comfnet.criteria.eccentricities", no_search)
+    for g in (Graph(1), path_graph(5), Graph(3, [(0, 1)])):
+        assert induced_metrics(g, frozenset()) == (False, UNREACHABLE, ())
+
+
 def test_sweeps_stay_far_below_a_dense_bitset(finishes):
     """K_{2,n-2}: diameter 2 and no vertex settled by bounds, so all but a
     few vertices are swept, CHUNK sources at a time; two levels per sweep

@@ -13,6 +13,9 @@ It also holds the exact oracle's answers (``oracle min`` for three kinds,
 15 to 24 vertices whose scans must be exhaustive or long: the two no-team
 fixtures, two dense G(15, 0.35) samples (seed 1507 has no comfortable
 team), C18, a random tree of 18 vertices, a 4x6 grid and a sparse G(22).
+Two larger graphs hold ``oracle max`` at ``--cap 40``, whose walk only a
+bound on the sizes still reachable keeps short: the random tree
+``random_tree(40, 1)`` and a 5x6 grid.
 
 Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -175,6 +178,16 @@ ORACLE_GRAPHS = {
 }
 
 
+#: name -> (n, edges) for ``oracle max`` alone, in the order the generator
+#: builds them; ``_pruefer_tree(40, 1)`` is ``comfnet.random_tree(40, 1)``
+MAX_GRAPHS = {
+    "tree-40": (40, _pruefer_tree(40, 1)),
+    "grid-5x6": (30, _grid(5, 6)),
+}
+
+MAX_COMMANDS = {"oracle-max-40": ("oracle", "max", "--l", "3/2", "--cap", "40")}
+
+
 def _edge_list(n, edges):
     pairs = sorted((u, v) if u < v else (v, u) for u, v in edges)
     return "".join([f"{n} {len(pairs)}\n"] + [f"{u} {v}\n" for u, v in pairs])
@@ -208,10 +221,17 @@ def test_oracle_output_matches_golden(name, command):
     _check_golden(ORACLE_GRAPHS, ORACLE_COMMANDS, name, command)
 
 
+@pytest.mark.parametrize("name", MAX_GRAPHS)
+def test_oracle_max_reach_matches_golden(name):
+    _check_golden(MAX_GRAPHS, MAX_COMMANDS, name, "oracle-max-40")
+
+
 def regenerate():
     GOLDEN.mkdir(parents=True, exist_ok=True)
     codes = {}
-    for graphs, commands in ((GRAPHS, COMMANDS), (ORACLE_GRAPHS, ORACLE_COMMANDS)):
+    for graphs, commands in (
+        (GRAPHS, COMMANDS), (ORACLE_GRAPHS, ORACLE_COMMANDS), (MAX_GRAPHS, MAX_COMMANDS)
+    ):
         for name, (n, edges) in graphs.items():
             graph = GOLDEN / f"{name}.txt"
             graph.write_text(_edge_list(n, edges))

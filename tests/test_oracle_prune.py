@@ -9,6 +9,13 @@ reference test of its kind, compare the pruned answers with a scan of
 every connected set on graphs whose scans are exhaustive or long, and pin
 how many sets the walk yields on one no-team fixture.
 
+The walk drops a conflicting vertex from its extension sets as soon as one
+member's row holds it, which is sound only because the rows are
+symmetric; the tests check that of every mask the walk is given. Max scans
+also skip every subtree that cannot reach the best size found; the tests
+compare them with the scan of every connected set and pin how many sets
+one such scan yields.
+
 networkx is a test-only reference; the module is skipped where it is not
 installed.
 """
@@ -22,27 +29,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comfnet import Graph, exact_max_team, exact_min_cds, exact_min_team
+from comfnet import Graph, exact_max_team, exact_min_cds, exact_min_team, small_diameter_fallback
 from comfnet.criteria import SubsetEvaluator, bc_target
 from comfnet.oracle import OracleAnswer
 
 nx = pytest.importorskip("networkx")
 from test_bfs_reference import as_nx, graphs  # noqa: E402  (after the skip)
-from test_golden import ORACLE_GRAPHS  # noqa: E402
+from test_golden import ORACLE_GRAPHS, _grid  # noqa: E402
+from test_hicom_reference import dense_graphs  # noqa: E402
 from test_oracle_reference import QUERIES, Reference  # noqa: E402
 
 
 @contextlib.contextmanager
 def walks_seen():
     """Record, per connected-set walk, the conflict masks it was given and
-    how many sets it yielded."""
+    how many sets it yielded. Every argument goes on to the walk."""
     walk = SubsetEvaluator.connected_sets
     seen = []
 
-    def spy(self, limit, conflicts=None, within=None):
+    def spy(self, limit, conflicts=None, *rest, **options):
         record = {"conflicts": conflicts, "yielded": 0}
         seen.append(record)
-        for item in walk(self, limit, conflicts, within):
+        for item in walk(self, limit, conflicts, *rest, **options):
             record["yielded"] += 1
             yield item
 
@@ -84,6 +92,61 @@ def test_conflicts_within_a_mask_are_its_rows_cut_to_it(g, target, data):
     rows = ev.conflicts(target)
     expected = tuple(row & mask if v in within else 0 for v, row in enumerate(rows))
     assert ev.conflicts(target, mask) == expected
+
+
+def is_symmetric(rows):
+    return all((rows[v] >> u & 1) == (rows[u] >> v & 1) for u in range(len(rows)) for v in range(u))
+
+
+@given(graphs(max_n=12, connected=True), st.sampled_from([None, 0, 1, 2, 3, 4, 5]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_conflict_rows_are_symmetric(g, target, data):
+    ev = SubsetEvaluator(g)
+    assert is_symmetric(ev.conflicts(target))
+    within = data.draw(st.sets(st.integers(0, g.n - 1)))
+    assert is_symmetric(ev.conflicts(target, sum(1 << v for v in within)))
+
+
+@given(graphs(max_n=10, connected=True), st.sampled_from([None, 0, 1, 2, 3]))
+@settings(max_examples=80, deadline=None)
+def test_filtered_walk_is_the_full_walk_without_conflicting_sets(g, target):
+    ev = SubsetEvaluator(g)
+    clash = ev.conflicts(target)
+
+    def conflict_free(mask):
+        return not any(clash[u] >> w & 1 for u, w in combinations(ev.members(mask), 2))
+
+    full = [s for s in ev.connected_sets(lambda: g.n) if conflict_free(s[0])]
+    assert list(ev.connected_sets(lambda: g.n, clash)) == full
+
+
+@given(dense_graphs())
+@settings(max_examples=60, deadline=None)
+def test_fallback_stranger_rows_are_symmetric(g):
+    if not g.is_connected() or g.n > 20:
+        return
+    with walks_seen() as seen:
+        try:
+            small_diameter_fallback(g)
+        except ValueError:  # diameter above 2: the fallback does not apply
+            return
+    (walk,) = seen
+    assert is_symmetric(walk["conflicts"])
+
+
+@given(graphs(max_n=10, connected=True), st.sampled_from(["3/2", "2"]))
+@settings(max_examples=80, deadline=None)
+def test_max_scan_floor_keeps_the_unpruned_answer(g, l):
+    assert exact_max_team(g, l, cap=g.n) == scan_without_masks(g, "max", l)
+
+
+def test_max_scan_floor_skips_what_cannot_reach_the_best_size():
+    """Without the floor this scan yields 944 015 sets."""
+    g = Graph(30, _grid(5, 6))
+    with walks_seen() as seen:
+        answer = exact_max_team(g, "3/2", cap=30)
+    assert (answer.optimum, answer.secondary_optimum) == (22, 2)
+    assert [walk["yielded"] for walk in seen] == [529]
 
 
 @given(graphs(max_n=9, connected=True))
