@@ -91,13 +91,13 @@ def _load_graph(path: str) -> Graph:
     return parse_edge_list(_read_text(path))
 
 
-def _vertex(g: Graph, token: str, where: str) -> int:
-    """The vertex ``token`` names as a label, else as a 0-based index; a
-    usage error that starts with ``where`` when it is neither."""
-    try:
-        return g.vertex_for_label(token)
-    except KeyError:
-        pass
+def _vertex(g: Graph, by_label: dict[str, int], token: str, where: str) -> int:
+    """The vertex ``token`` names as a label (``by_label`` is
+    ``_by_label(g)``), else as a 0-based index; a usage error that starts
+    with ``where`` when it is neither."""
+    index = by_label.get(token)
+    if index is not None:
+        return index
     try:
         index = int(token)
     except ValueError:
@@ -107,13 +107,18 @@ def _vertex(g: Graph, token: str, where: str) -> int:
     return index
 
 
+def _by_label(g: Graph) -> dict[str, int]:
+    return {label: v for v, label in enumerate(g.labels)}
+
+
 def _read_team(path: str, g: Graph) -> frozenset[int]:
     """Team file: one vertex label (or 0-based index) per line, '#' comments."""
+    by_label = _by_label(g)
     members = []
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
-            members.append(_vertex(g, line.split()[0], f"team file line {lineno}: vertex"))
+            members.append(_vertex(g, by_label, line.split()[0], f"team file line {lineno}: vertex"))
     if not members:
         raise ValueError("team file lists no vertices")
     return frozenset(members)
@@ -165,7 +170,7 @@ def _hicom_payload(sub: Graph, args, l: Fraction) -> dict:
 def cmd_hicom(args, l: Fraction | None) -> int:
     g = _load_graph(args.graph)
     if args.start is not None:  # resolved once on the whole input, as a label
-        args.start = g.labels[_vertex(g, args.start, "--start")]
+        args.start = g.labels[_vertex(g, _by_label(g), args.start, "--start")]
     if g.is_connected():
         _emit(_hicom_payload(g, args, l))
         return EXIT_OK

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .graphs import Graph, UNREACHABLE, bfs, eccentricities, eccentricity_profile
+from .graphs import Graph, UNREACHABLE, bfs, eccentricities, eccentricity_profile, induced_rows
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,7 @@ def induced_metrics(g: Graph, members: frozenset[int]):
     if not members:
         return False, UNREACHABLE, ()
     team = sorted(members)
-    index = {v: i for i, v in enumerate(team)}
-    adj = [[index[w] for w in g.adj[v] if w in index] for v in team]
+    adj = induced_rows(g, team)[1]
     if g.is_connected():
         host = eccentricity_profile(g).eccentricity
         bar = [host[v] for v in team]

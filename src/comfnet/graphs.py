@@ -19,17 +19,29 @@ from itertools import islice
 from operator import or_
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
+try:  # the builtin module: hashlib would load OpenSSL, about 3.5 MB of RSS
+    from _sha1 import sha1 as _sha1
+except ImportError:
+    from hashlib import sha1 as _sha1
+
 #: Sentinel hop distance for unreachable pairs. Strictly greater than any
 #: valid distance (a path has at most n - 1 hops); never 0 or -1.
 UNREACHABLE = 2**31 - 1
 
-#: Most sources one bit-parallel sweep carries. Each vertex then holds an
-#: int of up to CHUNK bits, so a sweep needs about n * CHUNK / 4 bytes.
+#: Scale of the bit-parallel sweeps: on n vertices one sweep carries up to
+#: ``_width(n)`` = max(CHUNK, 4 * CHUNK**2 // n) sources, and each vertex
+#: holds an int of that many bits. A host of up to 2 * CHUNK vertices is
+#: finished in one sweep; a sweep's bitsets hold at most 4 * CHUNK**2 bits
+#: on up to 4 * CHUNK vertices, and CHUNK bits per vertex beyond.
 CHUNK = 1024
 
 #: One sweep level costs about as much as this many plain searches (a
 #: level visits every vertex and ORs its neighbours' ints); measured on
-#: G(n, p), grids and trees with n = 1000-2000.
+#: G(n, p), grids and trees with n = 1000-2000. At the widest sweep
+#: ``_width`` allows, 2048 sources at n = 2048, a level cost 3.6 searches on
+#: G(n, 2.5 ln n / n), 3.0 on a sparse random graph of diameter 11, 2.8 on
+#: a 32x64 grid and 3.2 on a random tree (1024 sources: 3.3, 2.2, 2.0 and
+#: 2.8; CPython 3.11, one core of a shared 2-core x86-64 machine).
 _LEVEL_COST = 3
 
 
@@ -208,10 +220,12 @@ def eccentricities(
     within max(d, e - d) <= ecc(v) <= e + d; v is settled once its bounds
     meet. After a two-sweep start the sources alternate between the
     largest upper bound and the smallest lower bound. When searches settle
-    too few of the vertices left, those are finished either by bit-parallel
-    sweeps of at most ``CHUNK`` sources, ``_sweep``, when the diameter seen
-    so far is small next to their number, or by one plain search each,
+    too few of the vertices left, those are finished either by as few
+    bit-parallel sweeps as ``_width`` allows, ``_sweep``, when the diameter
+    seen so far is small next to their number, or by one plain search each,
     ``_plain`` (self-centred graphs such as cycles, where neither helps).
+    A sweep level costs per vertex, not per source, so wide sweeps are
+    cheaper: up to 2 * CHUNK vertices, one sweep carries them all.
 
     With ``bar`` the entries are lower bounds, exact only as far as the two
     questions of a team check reach: ``ecc[v] >= bar[v]`` exactly when v's
@@ -267,7 +281,7 @@ def eccentricities(
         # Finishing the rest costs about finish_cost searches. Bounding stops
         # when its last four searches settled only their own sources, or
         # once it has spent a quarter of that cost.
-        chunks = -(-len(left) // CHUNK)
+        chunks = -(-len(left) // _width(n))
         sweep_cost = _LEVEL_COST * chunks * (diameter + 1)
         finish_cost = min(sweep_cost, len(left))
         if len(settled) >= 4 and (sum(settled[-4:]) <= 4 or 4 * len(settled) > finish_cost):
@@ -278,7 +292,7 @@ def eccentricities(
             source = min(left, key=lo.__getitem__)
     if bar is not None:
         left = asked
-    chunks = -(-len(left) // CHUNK)
+    chunks = -(-len(left) // _width(n))
     if _LEVEL_COST * chunks * (diameter + 1) < len(left):
         for part in (left[i::chunks] for i in range(chunks)):
             for v, e in zip(part, _sweep(adj, n, part)):
@@ -289,9 +303,14 @@ def eccentricities(
     return lo
 
 
+def _width(n: int) -> int:
+    """Most sources one sweep carries on n vertices (see ``CHUNK``)."""
+    return max(CHUNK, 4 * CHUNK * CHUNK // n)
+
+
 def _sweep(adj: Sequence[Sequence[int]], n: int, sources: Sequence[int]) -> list[int]:
-    """Eccentricities of up to ``CHUNK`` sources of a connected graph with
-    n >= 2, by bit-parallel BFS (Akiba, Iwata & Yoshida, SIGMOD 2013).
+    """Eccentricities of up to ``_width(n)`` sources of a connected graph
+    with n >= 2, by bit-parallel BFS (Akiba, Iwata & Yoshida, SIGMOD 2013).
 
     ``reach[v]`` holds bit i once source i has reached v; each level ORs
     every unfinished vertex's neighbours' sets into its own. A source's
@@ -378,10 +397,18 @@ def induced_subgraph(g: Graph, members: Iterable[int]) -> Induced:
         raise ValueError("induced subgraph needs a nonempty vertex set")
     if vertices[0] < 0 or vertices[-1] >= g.n:
         raise ValueError(f"vertex set out of range for n={g.n}")
-    host_index = {v: i for i, v in enumerate(vertices)}
-    adj = [[host_index[w] for w in g.adj[v] if w in host_index] for v in vertices]
+    host_index, adj = induced_rows(g, vertices)
     sub = Graph._of_lists(adj, labels=[g.labels[v] for v in vertices])
     return Induced(sub, tuple(vertices), host_index)
+
+
+def induced_rows(g: Graph, vertices: Sequence[int]) -> tuple[dict[int, int], list[list[int]]]:
+    """``(index, rows)`` of the subgraph induced by ``vertices``, renumbered
+    in their order: ``index`` maps each of them to its position, and
+    ``rows[i]`` lists the positions of the neighbours of ``vertices[i]``
+    among them. Linear in the vertices and their degrees."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return index, [[index[w] for w in g.adj[v] if w in index] for v in vertices]
 
 
 def graph_power(g: Graph, k: int) -> Graph:
@@ -489,7 +516,6 @@ def to_dot(g: Graph, team: Iterable[int] | None = None) -> str:
 
 
 def graph_digest(g: Graph) -> str:
-    """Short stable identifier derived from the canonical edge list."""
-    import hashlib  # here only: loading OpenSSL costs about 3.5 MB of RSS
-
-    return hashlib.sha1(serialize_edge_list(g).encode()).hexdigest()[:12]
+    """Short stable identifier: the first 12 hex digits of the SHA-1 of the
+    canonical edge list, from the builtin ``_sha1`` where it exists."""
+    return _sha1(serialize_edge_list(g).encode()).hexdigest()[:12]

@@ -28,7 +28,7 @@ from .criteria import (
     induced_metrics,
     parse_l,
 )
-from .graphs import Graph, bfs, eccentricity_profile, graph_digest
+from .graphs import Graph, bfs, eccentricity_profile, graph_digest, induced_rows
 
 
 class HicomError(Exception):
@@ -185,22 +185,33 @@ def extend_step(g: Graph, shell: list[int], members: frozenset[int], d1: int) ->
     """Pick the vertex of ``shell`` (vertices outside the team, ascending)
     whose addition pushes the induced diameter up fastest without
     overshooting d1 or disconnecting the team; ties break to the lowest
-    index. None when the shell offers no usable vertex.
+    index. None when the shell offers no usable vertex. With the empty team
+    each vertex would stand alone at eccentricity 0, so the first shell
+    vertex is picked.
 
     Candidates are ranked by the eccentricity the new vertex would take
-    inside the grown team (one BFS each). That eccentricity is a lower
-    bound on the grown diameter, and existing pair distances can only
-    shrink when a vertex is added, so a candidate within d1 never
-    overshoots: the grown diameter is max(new eccentricity, old pairs).
+    inside the grown team. That eccentricity is a lower bound on the grown
+    diameter, and existing pair distances can only shrink when a vertex is
+    added, so a candidate within d1 never overshoots: the grown diameter
+    is max(new eccentricity, old pairs). A shortest path from u to a
+    member w leaves u once, so d(u, w) = 1 + d(t, w) inside the team for
+    the nearest of u's team neighbours t: one search over the team's own
+    rows, from those neighbours, scores each candidate.
     """
+    if not members:
+        return shell[0] if shell else None
+    index, rows = induced_rows(g, sorted(members))
+    size = len(rows)
     best_vertex = None
     best_ecc = -1
     for u in shell:
-        grown = members | {u}
-        levels, order = bfs(g.adj, (u,), g.n, grown)
-        if len(order) < len(grown):
+        sources = [index[w] for w in g.adj[u] if w in index]
+        if not sources:
             continue  # u does not attach to the team
-        new_ecc = levels[order[-1]]
+        levels, order = bfs(rows, sources, size)
+        if len(order) < size:
+            continue  # the team stays in parts that u does not join
+        new_ecc = levels[order[-1]] + 1
         if new_ecc > d1:
             continue
         if new_ecc > best_ecc:

@@ -80,6 +80,26 @@ def test_narrow_graphs_finish_in_bit_parallel_chunks(finishes, monkeypatch):
     assert max(sizes) - min(sizes) <= 1  # the chunks are balanced
 
 
+def test_hosts_up_to_twice_chunk_finish_in_one_sweep(finishes):
+    """A sweep level costs per vertex, not per source, so on n <= 2 * CHUNK
+    one sweep carries every vertex the bounds leave, more than CHUNK of
+    them here. Its bitsets hold about n * n bits, under 4 * CHUNK**2; two
+    generations of them live at once, so the peak stays under twice that."""
+    g = narrow(1500, 1)
+    assert CHUNK < g.n <= 2 * CHUNK
+    tracemalloc.start()
+    try:
+        ecc = eccentricities(g.adj, g.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ecc == one_search_each(g)
+    assert finishes["_plain"] == []
+    [swept] = finishes["_sweep"]
+    assert len(swept) > CHUNK and len(set(swept)) == len(swept)
+    assert peak <= 2 * 4 * CHUNK * CHUNK / 8, f"peak {peak} B"
+
+
 def test_cycles_finish_one_search_per_vertex(finishes):
     g = cycle_graph(1300)  # more vertices than CHUNK, so sweeps would cost more
     assert g.n > CHUNK
