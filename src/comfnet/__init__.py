@@ -47,7 +47,6 @@ from .hicom import (
     BoundCheck,
     DegenerateParams,
     FeasibilityPrediction,
-    HcParams,
     HicomError,
     HicomResult,
     NoFeasibleTeam,

@@ -237,19 +237,10 @@ class SubsetEvaluator:
         within = self.full if within is None else within
         cap = limit()
         least = 0 if floor is None else floor()
-        if cap < 1:
-            return
         for v in self.members(within):
             above = within & ~((2 << v) - 1)
-            root = 1 << v
-            bad = clash[v]
-            if least > 1 and (above & ~bad).bit_count() + 1 < least:
-                continue
-            yield root, root | nbr[v], 1
-            cap = limit()
-            if floor is not None:
-                least = floor()
-            sub, ext, closed, size = root, nbr[v] & above & ~bad, root | nbr[v], 1
+            # the root v is the one extension of the empty set below it
+            sub, ext, closed, bad, size = 0, 1 << v, 1 << v, 0, 0
             stack = []  # the steps above, each with the extension set it has left
             while True:
                 if ext and size < cap:
@@ -391,12 +382,6 @@ class SubsetEvaluator:
             return 0
         return self._search(closed, closed & ~mask, 1, self.full, bound + 1)
 
-    def eccentricity_within(self, v: int, mask: int, stop: int = UNREACHABLE) -> int | None:
-        """Eccentricity of member v inside ``mask``: UNREACHABLE when some
-        member cannot be reached, None as soon as it is known to reach
-        ``stop``."""
-        return self._search(1 << v, 1 << v, 0, mask, stop)
-
     def less_dispersive_diameter(self, mask: int, cap: int = UNREACHABLE) -> int | None:
         """Induced diameter of a connected ``mask`` whose every member's
         induced eccentricity is below its host eccentricity and at most
@@ -424,7 +409,7 @@ class SubsetEvaluator:
         diameter = 0
         less = True
         for v in subset:
-            e = self.eccentricity_within(v, mask)
+            e = self._search(1 << v, 1 << v, 0, mask, UNREACHABLE)
             if e == UNREACHABLE:
                 return False, UNREACHABLE, False, None
             less = less and e < self.ecc[v]

@@ -3,9 +3,10 @@
 The run grows a ball of shells around a central vertex, extends it one
 vertex per outer shell until the induced diameter hits the target
 d1 = ceil(diam(G)/l), then repairs the less-dispersiveness condition by
-removing vertices. Every successful run is re-checked against the full
-team criteria before it is returned; a run that cannot reach a verdict
-raises instead of returning a weaker team.
+removing vertices. Each grown team is measured once, by ``check_hc``
+against the full team criteria, and only a repaired team is measured
+again, so the report of the returned team is its re-verification; a run
+whose team fails it raises instead of returning a weaker team.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class HicomError(Exception):
 
 
 class DegenerateParams(HicomError):
-    """The requested target allows no diameter reduction (d1 >= diam or < 1)."""
+    """The requested target allows no diameter reduction (d1 >= diam)."""
 
 
 class RepairFailed(HicomError):
@@ -53,29 +54,6 @@ class NoFeasibleTeam(HicomError):
     def __init__(self, message: str, candidate: frozenset[int] | None = None):
         super().__init__(message)
         self.candidate = candidate
-
-
-@dataclass(frozen=True)
-class HcParams:
-    """Validated run parameters: the factor l and the diameter target d1."""
-
-    l: Fraction
-    d1: int
-
-    @classmethod
-    def for_graph(cls, g: Graph, l, allow_large_l: bool = False):
-        return cls._for_fraction(g, _validate_l(l, allow_large_l))
-
-    @classmethod
-    def _for_fraction(cls, g: Graph, frac: Fraction):
-        """Parameters for an ``l`` that ``_validate_l`` has already passed."""
-        diam = eccentricity_profile(g).diameter
-        d1 = bc_target(g, frac)
-        if d1 < 1 or d1 >= diam:
-            raise DegenerateParams(
-                f"degenerate params: d1={d1} with diam(G)={diam} requests no reduction"
-            )
-        return cls(l=frac, d1=d1)
 
 
 @dataclass(frozen=True)
@@ -137,6 +115,20 @@ class HicomResult:
     start_vertex: int | None
     trace: tuple[TraceStep, ...]
     report: TeamReport
+
+    @classmethod
+    def of(cls, team: TeamCandidate, report: TeamReport, built: TeamReport,
+           start: int | None, trace: Iterable[TraceStep]) -> HicomResult:
+        """The result for ``team``, read off its final ``check_hc`` report
+        and off ``built``, the report of the candidate before repair."""
+        d1 = report.bc_target
+        return cls(
+            team=team, l=report.l, d1=d1, x=d1 // 2, start_vertex=start,
+            achieved_diameter=report.induced_diameter, k=report.domination_radius,
+            construction_k=built.domination_radius,
+            construction_diameter=built.induced_diameter,
+            trace=tuple(trace), report=report,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -287,18 +279,19 @@ def _exhaustive_repair(g: Graph, members: frozenset[int], d1: int) -> frozenset[
     return None if found is None else frozenset(found[2])
 
 
-def repair(g: Graph, members: Iterable[int], params: HcParams) -> TeamCandidate:
+def repair(g: Graph, members: Iterable[int], d1: int) -> TeamCandidate:
     """Step-7 removal phase: shed vertices until the team is less dispersive
-    while holding the diameter and accessibility conditions.
+    while holding the diameter ceiling d1 and the accessibility condition.
 
     A greedy one-at-a-time walk runs first; if it dead-ends, a bounded
     exhaustive scan over the candidate's connected subsets takes over. Raises
     ``RepairFailed`` (stuck candidate attached) when neither finds a team.
+    The team returned is not yet checked against l; ``hicom`` does that.
     """
     current = members.members if isinstance(members, TeamCandidate) else frozenset(members)
-    repaired = _greedy_repair(g, current, params.d1)
+    repaired = _greedy_repair(g, current, d1)
     if repaired is None:
-        repaired = _exhaustive_repair(g, current, params.d1)
+        repaired = _exhaustive_repair(g, current, d1)
     if repaired is None:
         raise RepairFailed(
             "repair failed: no removal restores less-dispersiveness within the "
@@ -355,7 +348,9 @@ def hicom(
 
     Graphs of diameter <= 2 route to the dominating-clique fallback with
     l = 2 semantics. The start override, when given, must be a central
-    vertex (the correctness bound leans on e(start) = r(G)).
+    vertex (the correctness bound leans on e(start) = r(G)). The result's
+    report is ``check_hc`` of exactly the returned team: the run's own
+    measurement of it, taken once, is its re-verification.
     """
     if not g.is_connected():
         raise ValueError("hicom requires a connected graph")
@@ -375,22 +370,14 @@ def hicom(
                 "fails the team conditions",
                 candidate=team.members,
             )
-        d1 = report.bc_target
-        return HicomResult(
-            team=team,
-            l=Fraction(2),
-            d1=d1,
-            achieved_diameter=report.induced_diameter,
-            k=report.domination_radius,
-            x=d1 // 2,
-            construction_k=report.domination_radius,
-            construction_diameter=report.induced_diameter,
-            start_vertex=None,
-            trace=(TraceStep("fallback", None, tuple(sorted(team.members))),),
-            report=report,
-        )
+        trace = (TraceStep("fallback", None, tuple(sorted(team.members))),)
+        return HicomResult.of(team, report, report, None, trace)
 
-    params = HcParams._for_fraction(g, frac)
+    d1 = bc_target(g, frac)
+    if d1 >= prof.diameter:  # ceil(diam/l) >= 1 for any diameter >= 1
+        raise DegenerateParams(
+            f"degenerate params: d1={d1} with diam(G)={prof.diameter} requests no reduction"
+        )
 
     if start is not None:
         if start not in prof.center:
@@ -407,23 +394,27 @@ def hicom(
     first_error: HicomError | None = None
     for v in starts:
         try:
-            return _attempt(g, params, v)
+            return _attempt(g, frac, d1, v)
         except HicomError as exc:
             if first_error is None:
                 first_error = exc
     assert first_error is not None
     if len(starts) > 1:
         raise NoFeasibleTeam(
-            f"no {params.l}-HC team from any of {len(starts)} central starts; "
+            f"no {frac}-HC team from any of {len(starts)} central starts; "
             f"first failure: {first_error}",
             candidate=getattr(first_error, "candidate", None),
         )
     raise first_error
 
 
-def _attempt(g: Graph, params: HcParams, v: int) -> HicomResult:
-    """One run from a fixed central start: ball, extension, repair, check."""
-    d1 = params.d1
+def _attempt(g: Graph, l: Fraction, d1: int, v: int) -> HicomResult:
+    """One run from a fixed central start: ball, extension, repair, check.
+
+    The ball and each extended team are measured once, by ``check_hc``; the
+    report's induced diameter drives the extension, and the last report before
+    repair gives the construction metrics and the violators that call for
+    repair. Only a repaired team is checked again."""
     x = d1 // 2
     levels, order = bfs(g.adj, (v,), g.n)
     shells = [sorted(shell) for _, shell in groupby(order, key=levels.__getitem__)]
@@ -431,10 +422,10 @@ def _attempt(g: Graph, params: HcParams, v: int) -> HicomResult:
     trace = [TraceStep("ball", j, tuple(shell)) for j, shell in enumerate(ball)]
 
     frozen = frozenset(u for shell in ball for u in shell)
-    _, cur_diam, violators = induced_metrics(g, frozen)
+    built = check_hc(g, frozen, l)
     unreached = False
     i = x
-    while cur_diam < d1:
+    while built.induced_diameter < d1:
         i += 1
         if i >= len(shells):
             trace.append(TraceStep("unreached", i, ()))
@@ -446,23 +437,21 @@ def _attempt(g: Graph, params: HcParams, v: int) -> HicomResult:
             continue
         frozen = frozen | {u}
         trace.append(TraceStep("extend", i, (u,)))
-        _, cur_diam, violators = induced_metrics(g, frozen)
+        built = check_hc(g, frozen, l)
 
-    construction_k = domination_radius(g, frozen)
-    construction_diameter = cur_diam
-
-    if violators:
-        repaired = repair(g, frozen, params).members
+    report = built
+    if built.violators:
+        repaired = repair(g, frozen, d1).members
         trace.extend(TraceStep("repair", None, (u,)) for u in sorted(frozen - repaired))
         frozen = repaired
+        report = check_hc(g, frozen, l)
 
-    report = check_hc(g, frozen, params.l)
     if not report.is_hc:
         if unreached:
             raise NoFeasibleTeam(
                 f"no extension achieves target diameter {d1}: shells exhausted at "
-                f"induced diameter {cur_diam} and the resulting team is not "
-                f"{params.l}-HC",
+                f"induced diameter {built.induced_diameter} and the resulting team is not "
+                f"{l}-HC",
                 candidate=frozen,
             )
         raise NoFeasibleTeam(
@@ -470,20 +459,7 @@ def _attempt(g: Graph, params: HcParams, v: int) -> HicomResult:
             f"(k={report.domination_radius}, induced diameter {report.induced_diameter})",
             candidate=frozen,
         )
-
-    return HicomResult(
-        team=TeamCandidate(g, frozen),
-        l=params.l,
-        d1=d1,
-        achieved_diameter=report.induced_diameter,
-        k=report.domination_radius,
-        x=x,
-        construction_k=construction_k,
-        construction_diameter=construction_diameter,
-        start_vertex=v,
-        trace=tuple(trace),
-        report=report,
-    )
+    return HicomResult.of(TeamCandidate(g, frozen), report, built, v, trace)
 
 
 def verify_k_bound(result: HicomResult, g: Graph) -> list[BoundCheck]:

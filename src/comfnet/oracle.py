@@ -38,8 +38,6 @@ from .hicom import BoundCheck, HicomError, hicom
 
 DEFAULT_CAP = 14
 
-KINDS = ("comfortable", "bc", "hc", "cds")
-
 
 @dataclass(frozen=True)
 class OracleAnswer:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import tracemalloc
 import warnings
@@ -9,10 +10,10 @@ import pytest
 from comfnet import (
     DegenerateParams,
     Graph,
-    HcParams,
     HicomError,
     NoFeasibleTeam,
     RepairFailed,
+    bc_target,
     bound_sweep,
     check_hc,
     complete_graph,
@@ -35,6 +36,7 @@ from comfnet import (
     two_hc_feasibility,
     verify_k_bound,
 )
+import comfnet.cli as cli
 from comfnet.corpus import cycles_corpus, gnp_corpus, trees_corpus
 from comfnet.graphs import bfs
 
@@ -78,20 +80,43 @@ def test_c8_run_extends_one_vertex():
 
 @pytest.mark.parametrize("g", [path_graph(7), cycle_graph(8), cycle_graph(11)], ids=["P7", "C8", "C11"])
 def test_construction_measures_each_grown_team_once(g, monkeypatch):
-    hicom_mod = importlib.import_module("comfnet.hicom")  # the package re-exports hicom()
     measured = []
-    real = hicom_mod.induced_metrics
+    real = importlib.import_module("comfnet.criteria").induced_metrics
 
     def counting(host, members):
         measured.append(members)
         return real(host, members)
 
-    monkeypatch.setattr(hicom_mod, "induced_metrics", counting)
+    # the package re-exports hicom(), so the modules are looked up by name
+    for name in ("comfnet.criteria", "comfnet.hicom"):
+        monkeypatch.setattr(importlib.import_module(name), "induced_metrics", counting)
     result = hicom(g, L32)
     assert "repair" not in {step.op for step in result.trace}
-    # the ball once, then once per extension; check_hc measures the team itself
+    # the ball once, then once per extension; the last of these checks is
+    # the returned team's report, so nothing is measured twice
     assert len(measured) == 1 + sum(step.op == "extend" for step in result.trace)
     assert len(set(measured)) == len(measured)
+
+
+#: From its center v1 the ball reaches diameter 2 below d1 = 3; shell 2
+#: adds one vertex, shell 3 offers none within d1 and there is no shell 4.
+RARE_BRANCHES = "10 12\n0 1\n0 9\n1 3\n1 6\n1 7\n1 9\n2 4\n3 4\n3 9\n4 9\n5 7\n8 9\n"
+
+
+@pytest.mark.parametrize("l, digest", [
+    ("2", "0ecbc16473689667045f18b6923d593a5a99aaae"),
+    ("7/4", "e1f7a5e4d1a28881aa19b2ed0b2572fa5ddfec8e"),
+])
+def test_exhausted_and_unreached_shells(l, digest, capsys, tmp_path):
+    g = parse_edge_list(RARE_BRANCHES)
+    result = hicom(g, l)
+    assert [step.op for step in result.trace] == ["ball", "ball", "extend", "exhausted", "unreached"]
+    assert result.team.labels() == ["v1", "v2", "v4", "v10"]
+    path = tmp_path / "rare.txt"
+    path.write_text(RARE_BRANCHES)
+    assert cli.run(["hicom", "--l", l, str(path)]) == 0
+    # digests of the CLI output taken before `_attempt` measured each team once
+    assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_trace_replay(c6, p7):
@@ -156,12 +181,11 @@ def test_l_validation(c6, p6):
 
 def test_large_l_warns_once_at_the_caller():
     g = path_graph(30)
-    for call in (lambda: hicom(g, "7/4"), lambda: HcParams.for_graph(g, "7/4")):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            call()
-        assert [w.category for w in caught] == [UserWarning]
-        assert caught[0].filename == __file__
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        hicom(g, "7/4")
+    assert [w.category for w in caught] == [UserWarning]
+    assert caught[0].filename == __file__
 
 
 def test_hicom_never_holds_a_dense_distance_matrix():
@@ -183,24 +207,15 @@ def test_large_l_with_flag():
     assert result.d1 == 8
 
 
-def test_hc_params_for_graph(c6):
-    params = HcParams.for_graph(c6, L32)
-    assert params.l == L32 and params.d1 == 2
-    with pytest.raises(DegenerateParams):
-        HcParams.for_graph(Graph(1), L32)
-
-
 # --- repair --------------------------------------------------------------------
 
 def test_repair_whole_path_fixture(p6):
-    params = HcParams(l=L32, d1=5)
-    team = repair(p6, frozenset(range(6)), params)
+    team = repair(p6, frozenset(range(6)), 5)
     assert team.members == {1, 2, 3, 4}
 
 
 def test_repair_identity_when_already_less_dispersive(p6):
-    params = HcParams(l=L32, d1=4)
-    team = repair(p6, frozenset({1, 2, 3, 4}), params)
+    team = repair(p6, frozenset({1, 2, 3, 4}), 4)
     assert team.members == {1, 2, 3, 4}
 
 
@@ -210,14 +225,14 @@ def test_repair_failure_attaches_candidate():
     row = bfs(g.adj, (prof.center[0],), g.n)[0]
     ball = frozenset(u for u in range(g.n) if row[u] <= 1)
     with pytest.raises(RepairFailed) as exc:
-        repair(g, ball, HcParams(l=L32, d1=2))
+        repair(g, ball, 2)
     assert exc.value.candidate
 
 
 def test_repair_of_a_one_vertex_graph_fails():
     # the lone vertex keeps its eccentricity 0, and no removal leaves a team
     with pytest.raises(RepairFailed):
-        repair(Graph(1), {0}, HcParams(l=L32, d1=1))
+        repair(Graph(1), {0}, 1)
 
 
 def test_repair_runs_shrink_but_stay_valid(p6):
@@ -347,13 +362,13 @@ def test_ball_induced_diameter_within_target():
 
     for g in small_mixed_corpus():
         prof = eccentricity_profile(g)
-        params = HcParams.for_graph(g, L32)
-        x = params.d1 // 2
+        d1 = bc_target(g, L32)
+        x = d1 // 2
         for v in prof.center[:2]:
             row = bfs(g.adj, (v,), g.n)[0]
             ball = frozenset(u for u in range(g.n) if row[u] <= x)
             _, diameter, _ = induced_metrics(g, ball)
-            assert diameter <= params.d1
+            assert diameter <= d1
 
 
 def test_target_diameter_reached_without_repair():
