@@ -16,7 +16,7 @@ l = Fraction(3, 2)
 
 for name, g in [("C6", cycle_graph(6)), ("P7", path_graph(7)), ("C8", cycle_graph(8))]:
     result = hicom(g, l)
-    print(f"{name}: team {[g.labels[v] for v in sorted(result.team.members)]}")
+    print(f"{name}: team {[g.labels[v] for v in sorted(result.team)]}")
     print(f"  target diameter d1={result.d1}, achieved {result.achieved_diameter}, "
           f"domination radius k={result.k}, verdict {result.report.verdict}")
     print("  phases:")
@@ -30,8 +30,8 @@ for name, g in [("C6", cycle_graph(6)), ("P7", path_graph(7)), ("C8", cycle_grap
 print("Graphs of diameter <= 2 route to a dominating-clique fallback:")
 c4 = cycle_graph(4)
 result = hicom(c4, l)
-print(f"  C4: team {[c4.labels[v] for v in sorted(result.team.members)]} "
+print(f"  C4: team {[c4.labels[v] for v in sorted(result.team)]} "
       f"verdict {result.report.verdict}")
 
 print("\nDOT export with the team highlighted (paste into graphviz):")
-print(to_dot(cycle_graph(6), team=hicom(cycle_graph(6), l).team.members))
+print(to_dot(cycle_graph(6), team=hicom(cycle_graph(6), l).team))

@@ -50,7 +50,7 @@ print(f"  size {exact_min_cds(p6).optimum}, witness {exact_min_cds(p6).witness}"
 
 print("\nHeuristic size against the exact optimum on the 7-path:")
 result = hicom(path_graph(7), l)
-print(f"  heuristic team size {len(result.team.members)}, exact minimum {low.optimum}")
+print(f"  heuristic team size {len(result.team)}, exact minimum {low.optimum}")
 
 print("\nPerformance ratios over the cycles C7..C12:")
 records, summary, skipped = ratio_experiment([cycle_graph(n) for n in range(7, 13)], l)

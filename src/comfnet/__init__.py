@@ -7,9 +7,7 @@ corpora in :mod:`comfnet.corpus`, and the CLI in :mod:`comfnet.cli`.
 """
 
 from .criteria import (
-    TeamCandidate,
     TeamReport,
-    as_fraction,
     bc_target,
     check_bc,
     check_hc,

@@ -157,13 +157,13 @@ def _hicom_payload(sub: Graph, args, l: Fraction) -> dict:
     every other from its own centres."""
     start = sub.labels.index(args.start) if args.start in sub.labels else None
     result = hicom(sub, l, start=start, allow_large_l=args.allow_large_l)
-    payload = result.to_json_dict()
+    payload = result.to_json_dict(sub.labels)
     payload["bounds"] = [b.to_json_dict() for b in verify_k_bound(result, sub)]
     if args.max:
-        biggest = extend_to_max(sub, result, result.l)
-        payload["max_team"] = [sub.labels[v] for v in sorted(biggest.members)]
+        biggest = extend_to_max(sub, result.team, result.l)
+        payload["max_team"] = [sub.labels[v] for v in sorted(biggest)]
     if args.dot:
-        Path(args.dot).write_text(to_dot(sub, team=result.team.members))
+        Path(args.dot).write_text(to_dot(sub, team=result.team))
     return payload
 
 

@@ -1,5 +1,9 @@
 """Team predicates: domination radius, less-dispersiveness, BC/HC checks.
 
+A team is a set of vertex indices of its host graph. ``check_hc`` measures
+it once, and its ``TeamReport`` stores those measurements and derives every
+team condition and the verdict from them.
+
 All functions are pure over immutable inputs and safe to evaluate in
 parallel across candidate teams. The reduction factor ``l`` is an exact
 rational (``fractions.Fraction``), so ceil(diam/l) carries no float error;
@@ -17,57 +21,58 @@ from .graphs import Graph, UNREACHABLE, bfs, eccentricities, eccentricity_profil
 
 
 @dataclass(frozen=True)
-class TeamCandidate:
-    """A vertex subset proposed as a team of its host graph."""
-
-    host: Graph
-    members: frozenset[int]
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("a team must be nonempty")
-        if min(self.members) < 0 or max(self.members) >= self.host.n:
-            raise ValueError(f"team members out of range for n={self.host.n}")
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __len__(self):
-        return len(self.members)
-
-    def labels(self) -> list[str]:
-        return [self.host.labels[v] for v in sorted(self.members)]
-
-
-@dataclass(frozen=True)
 class TeamReport:
-    """Full verdict on one candidate team at a given reduction factor l.
+    """What ``check_hc`` measures of one team at a given reduction factor
+    l, and the team conditions read off it.
 
     ``induced_diameter`` is ``UNREACHABLE`` when the induced subgraph is
-    disconnected (serialized as null). The verdict is the strongest level
-    achieved, ranked HC > BC > comfortable > none.
+    disconnected (serialized as null), and then every member is a
+    violator. The verdict is the strongest level achieved, ranked HC > BC
+    > comfortable > none.
     """
 
     team: tuple[int, ...]
     l: Fraction
-    is_connected: bool
-    is_dominating_1: bool
     domination_radius: int
     induced_diameter: int
-    less_dispersive: bool
     violators: tuple[int, ...]
     bc_target: int
-    bc_condition: bool
-    hc_condition: bool
-    verdict: str
 
     @property
-    def is_hc(self) -> bool:
-        return self.verdict.endswith("-HC")
+    def is_connected(self) -> bool:
+        return self.induced_diameter < UNREACHABLE
+
+    @property
+    def is_dominating_1(self) -> bool:
+        return self.domination_radius <= 1
+
+    @property
+    def less_dispersive(self) -> bool:
+        return not self.violators
+
+    @property
+    def bc_condition(self) -> bool:
+        return self.is_connected and self.induced_diameter <= self.bc_target
+
+    @property
+    def hc_condition(self) -> bool:
+        return self.is_connected and self.domination_radius <= self.induced_diameter
 
     @property
     def is_bc(self) -> bool:
-        return self.verdict.endswith("-BC") or self.is_hc
+        return self.less_dispersive and self.bc_condition
+
+    @property
+    def is_hc(self) -> bool:
+        return self.is_bc and self.hc_condition
+
+    @property
+    def verdict(self) -> str:
+        if self.is_hc:
+            return f"{self.l}-HC"
+        if self.is_bc:
+            return f"{self.l}-BC"
+        return "comfortable" if self.less_dispersive and self.is_dominating_1 else "none"
 
     def to_json_dict(self, labels) -> dict:
         diam = None if self.induced_diameter >= UNREACHABLE else self.induced_diameter
@@ -87,22 +92,12 @@ class TeamReport:
         }
 
 
-def as_fraction(l) -> Fraction:
-    """Exact rational from 'p/q' or decimal text, int, float, or Fraction."""
-    if isinstance(l, Fraction):
-        return l
-    if isinstance(l, int):
-        return Fraction(l)
-    if isinstance(l, float):
-        # exact decimal reading, not the binary float expansion
-        return Fraction(repr(l))
-    return Fraction(str(l))
-
-
 def parse_l(l) -> Fraction:
-    """The reduction factor as an exact rational; ValueError unless l > 1."""
+    """The reduction factor as an exact rational, from 'p/q' or decimal
+    text, int, float or Fraction; ValueError unless l > 1. A float is read
+    by its text, which is its repr, not by its binary expansion."""
     try:
-        frac = as_fraction(l)
+        frac = l if isinstance(l, Fraction) else Fraction(str(l))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse l={l!r} as a rational") from None
     if frac <= 1:
@@ -111,9 +106,13 @@ def parse_l(l) -> Fraction:
 
 
 def _member_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
-    if isinstance(members, TeamCandidate):
-        return members.members
-    return TeamCandidate(g, frozenset(members)).members
+    """A team given from outside as a vertex set: nonempty and in range."""
+    team = frozenset(members)
+    if not team:
+        raise ValueError("a team must be nonempty")
+    if min(team) < 0 or max(team) >= g.n:
+        raise ValueError(f"team members out of range for n={g.n}")
+    return team
 
 
 def induced_metrics(g: Graph, members: frozenset[int]):
@@ -424,7 +423,7 @@ def bc_target(g: Graph, l) -> int:
     return math.ceil(Fraction(diam) / frac)
 
 
-def domination_radius(g: Graph, members: Iterable[int] | TeamCandidate) -> int:
+def domination_radius(g: Graph, members: Iterable[int]) -> int:
     """Smallest k with every outside vertex within k hops of the team;
     0 when the team is the whole vertex set."""
     team = _member_set(g, members)
@@ -434,16 +433,14 @@ def domination_radius(g: Graph, members: Iterable[int] | TeamCandidate) -> int:
     return levels[order[-1]]
 
 
-def is_dominating(g: Graph, members: Iterable[int] | TeamCandidate, k: int) -> bool:
+def is_dominating(g: Graph, members: Iterable[int], k: int) -> bool:
     """True when the team k-distance dominates the rest of the graph."""
     if k < 1:
         raise ValueError(f"domination distance must be >= 1, got {k}")
     return domination_radius(g, members) <= k
 
 
-def is_less_dispersive(
-    g: Graph, members: Iterable[int] | TeamCandidate
-) -> tuple[bool, tuple[int, ...]]:
+def is_less_dispersive(g: Graph, members: Iterable[int]) -> tuple[bool, tuple[int, ...]]:
     """Strict per-member eccentricity drop inside the team.
 
     Returns (ok, violators): a violator keeps (or exceeds, when the team
@@ -457,64 +454,28 @@ def is_less_dispersive(
     return not violators, violators
 
 
-def check_hc(g: Graph, members: Iterable[int] | TeamCandidate, l) -> TeamReport:
-    """Evaluate every team condition at ``l`` and assemble the report.
-
-    A disconnected team short-circuits: the BC and HC flags are false and
-    the induced diameter is the UNREACHABLE sentinel.
-    """
+def check_hc(g: Graph, members: Iterable[int], l) -> TeamReport:
+    """Measure a team at ``l``: its domination radius, its induced diameter
+    and violators, and the diameter ceiling. The report reads every team
+    condition and the verdict off these four."""
     frac = parse_l(l)
     team = _member_set(g, members)
     if not g.is_connected():
         raise ValueError("team checks require a connected host graph")
-
-    connected, ind_diam, violators = induced_metrics(g, team)
-    less_disp = not violators
-
-    k = domination_radius(g, team)
-    target = bc_target(g, frac)
-    bc_cond = connected and ind_diam <= target
-    hc_cond = connected and k <= ind_diam
-
-    comfortable_ok = connected and k <= 1 and less_disp
-    bc_ok = connected and less_disp and bc_cond
-    hc_ok = bc_ok and hc_cond
-    if hc_ok:
-        verdict = f"{frac}-HC"
-    elif bc_ok:
-        verdict = f"{frac}-BC"
-    elif comfortable_ok:
-        verdict = "comfortable"
-    else:
-        verdict = "none"
-
+    _, diameter, violators = induced_metrics(g, team)
     return TeamReport(
-        team=tuple(sorted(team)),
-        l=frac,
-        is_connected=connected,
-        is_dominating_1=k <= 1,
-        domination_radius=k,
-        induced_diameter=ind_diam,
-        less_dispersive=less_disp,
-        violators=violators,
-        bc_target=target,
-        bc_condition=bc_cond,
-        hc_condition=hc_cond,
-        verdict=verdict,
-    )
+        team=tuple(sorted(team)), l=frac, domination_radius=domination_radius(g, team),
+        induced_diameter=diameter, violators=violators, bc_target=bc_target(g, frac))
 
 
-def check_bc(g: Graph, members: Iterable[int] | TeamCandidate, l) -> bool:
+def check_bc(g: Graph, members: Iterable[int], l) -> bool:
     """True iff the team is connected, less dispersive, and meets the
-    induced-diameter ceiling for ``l``; the ceiling implies connected."""
-    report = check_hc(g, members, l)
-    return report.less_dispersive and report.bc_condition
+    induced-diameter ceiling for ``l``."""
+    return check_hc(g, members, l).is_bc
 
 
-def is_comfortable(g: Graph, members: Iterable[int] | TeamCandidate) -> bool:
-    """Connected, dominating at distance one, and less dispersive. A less
-    dispersive team is connected: in a disconnected one every member's
-    induced eccentricity is UNREACHABLE, so every member is a violator."""
-    team = _member_set(g, members)
-    ok, _ = is_less_dispersive(g, team)
-    return ok and domination_radius(g, team) <= 1
+def is_comfortable(g: Graph, members: Iterable[int]) -> bool:
+    """Connected, dominating at distance one, and less dispersive: the
+    conditions of the 'comfortable' verdict, which no value of l changes."""
+    report = check_hc(g, members, 2)
+    return report.is_dominating_1 and report.less_dispersive

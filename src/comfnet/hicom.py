@@ -3,10 +3,10 @@
 The run grows a ball of shells around a central vertex, extends it one
 vertex per outer shell until the induced diameter hits the target
 d1 = ceil(diam(G)/l), then repairs the less-dispersiveness condition by
-removing vertices. Each grown team is measured once, by ``check_hc``
-against the full team criteria, and only a repaired team is measured
-again, so the report of the returned team is its re-verification; a run
-whose team fails it raises instead of returning a weaker team.
+removing vertices. A team is a vertex set, measured once by ``check_hc``:
+repair starts from the grown team's report, only a repaired team is
+measured again, and the report of the returned team is its
+re-verification; a run whose team fails it raises instead.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Iterable
 
 from .criteria import (
     SubsetEvaluator,
-    TeamCandidate,
     TeamReport,
     bc_target,
     check_hc,
@@ -97,14 +96,15 @@ class BoundCheck:
 class HicomResult:
     """Output team plus the run's parameters, metrics and phase trace.
 
-    ``construction_k`` and ``construction_diameter`` describe the candidate
-    at the end of the growth phase, before any repair removals; they equal
-    ``k`` and ``achieved_diameter`` on runs that needed no repair. The
-    accessibility bound k <= r(G) - x governs the construction: removals
-    can only grow the domination radius.
+    ``report`` is the ``check_hc`` of ``team``. ``construction_k`` and
+    ``construction_diameter`` describe the candidate at the end of the
+    growth phase, before any repair removals; they equal ``k`` and
+    ``achieved_diameter`` on runs that needed no repair. The accessibility
+    bound k <= r(G) - x governs the construction: removals can only grow
+    the domination radius.
     """
 
-    team: TeamCandidate
+    team: frozenset[int]
     l: Fraction
     d1: int
     achieved_diameter: int
@@ -117,23 +117,23 @@ class HicomResult:
     report: TeamReport
 
     @classmethod
-    def of(cls, team: TeamCandidate, report: TeamReport, built: TeamReport,
-           start: int | None, trace: Iterable[TraceStep]) -> HicomResult:
-        """The result for ``team``, read off its final ``check_hc`` report
-        and off ``built``, the report of the candidate before repair."""
+    def of(cls, report: TeamReport, built: TeamReport, start: int | None,
+           trace: Iterable[TraceStep]) -> HicomResult:
+        """The result for the team of ``report``, its final ``check_hc``,
+        and for ``built``, the report of the candidate before repair."""
         d1 = report.bc_target
         return cls(
-            team=team, l=report.l, d1=d1, x=d1 // 2, start_vertex=start,
+            team=frozenset(report.team), l=report.l, d1=d1, x=d1 // 2, start_vertex=start,
             achieved_diameter=report.induced_diameter, k=report.domination_radius,
             construction_k=built.domination_radius,
             construction_diameter=built.induced_diameter,
             trace=tuple(trace), report=report,
         )
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, labels) -> dict:
         return {
-            "team": [self.team.host.labels[v] for v in sorted(self.team.members)],
-            "team_size": len(self.team.members),
+            "team": [labels[v] for v in self.report.team],
+            "team_size": len(self.team),
             "l": str(self.l),
             "d1": self.d1,
             "achieved_diameter": self.achieved_diameter,
@@ -141,9 +141,9 @@ class HicomResult:
             "x": self.x,
             "construction_k": self.construction_k,
             "construction_diameter": self.construction_diameter,
-            "start": None if self.start_vertex is None else self.team.host.labels[self.start_vertex],
-            "trace": [step.to_json_dict(self.team.host.labels) for step in self.trace],
-            "report": self.report.to_json_dict(self.team.host.labels),
+            "start": None if self.start_vertex is None else labels[self.start_vertex],
+            "trace": [step.to_json_dict(labels) for step in self.trace],
+            "report": self.report.to_json_dict(labels),
         }
 
 
@@ -230,14 +230,14 @@ def _standing(g: Graph, team: frozenset[int], d1: int) -> tuple[int, tuple[int, 
 EXHAUSTIVE_REPAIR_LIMIT = 18
 
 
-def _greedy_repair(g: Graph, current: frozenset[int], d1: int) -> frozenset[int] | None:
-    """Remove one vertex at a time until every member drops its whole-graph
-    eccentricity. A removal must leave the team standing (``_standing``);
-    candidates are ranked by the radius they leave behind, then by how many
-    violators remain, then by index. Removals are not limited to the
-    violators themselves: shedding a violator's far teammate is often what
-    lowers its eccentricity."""
-    violators = induced_metrics(g, current)[2]
+def _greedy_repair(g: Graph, current: frozenset[int], violators: tuple[int, ...],
+                   d1: int) -> frozenset[int] | None:
+    """Remove one vertex at a time from ``current`` (with ``violators``)
+    until every member drops its whole-graph eccentricity. A removal must
+    leave the team standing (``_standing``); candidates are ranked by the
+    radius they leave behind, then by how many violators remain, then by
+    index. Removals are not limited to the violators themselves: shedding
+    a violator's far teammate is often what lowers its eccentricity."""
     while violators:
         if len(current) > EXHAUSTIVE_REPAIR_LIMIT and len(violators) > 1:
             # large candidates: shedding every violator at once usually lands
@@ -279,17 +279,19 @@ def _exhaustive_repair(g: Graph, members: frozenset[int], d1: int) -> frozenset[
     return None if found is None else frozenset(found[2])
 
 
-def repair(g: Graph, members: Iterable[int], d1: int) -> TeamCandidate:
-    """Step-7 removal phase: shed vertices until the team is less dispersive
-    while holding the diameter ceiling d1 and the accessibility condition.
+def repair(g: Graph, built: TeamReport) -> frozenset[int]:
+    """Step-7 removal phase: shed vertices from the team of ``built``, its
+    ``check_hc`` report, until it is less dispersive while holding the
+    diameter ceiling d1 = ``built.bc_target`` and the accessibility condition.
 
-    A greedy one-at-a-time walk runs first; if it dead-ends, a bounded
+    A greedy one-at-a-time walk runs first, from the report's violators (so
+    that team is not measured again); if it dead-ends, a bounded
     exhaustive scan over the candidate's connected subsets takes over. Raises
     ``RepairFailed`` (stuck candidate attached) when neither finds a team.
     The team returned is not yet checked against l; ``hicom`` does that.
     """
-    current = members.members if isinstance(members, TeamCandidate) else frozenset(members)
-    repaired = _greedy_repair(g, current, d1)
+    current, d1 = frozenset(built.team), built.bc_target
+    repaired = _greedy_repair(g, current, built.violators, d1)
     if repaired is None:
         repaired = _exhaustive_repair(g, current, d1)
     if repaired is None:
@@ -298,10 +300,10 @@ def repair(g: Graph, members: Iterable[int], d1: int) -> TeamCandidate:
             "diameter and accessibility conditions",
             candidate=current,
         )
-    return TeamCandidate(g, repaired)
+    return repaired
 
 
-def small_diameter_fallback(g: Graph) -> TeamCandidate | None:
+def small_diameter_fallback(g: Graph) -> frozenset[int] | None:
     """Dominating-clique search for graphs of diameter <= 2.
 
     Exhaustive (smallest clique first, lexicographic ties) up to n = 20,
@@ -316,7 +318,7 @@ def small_diameter_fallback(g: Graph) -> TeamCandidate | None:
         ev = SubsetEvaluator(g)
         strangers = tuple(ev.full ^ nbr ^ (1 << v) for v, nbr in enumerate(ev.nbr))
         found = ev.best(ev.kind_test("cds"), range(1, g.n + 1), strangers)
-        return None if found is None else TeamCandidate(g, frozenset(found[2]))
+        return None if found is None else frozenset(found[2])
 
     adjsets = [set(nbrs) for nbrs in g.adj]
     # greedy: grow a clique inside the common neighborhood, maximizing coverage
@@ -334,7 +336,7 @@ def small_diameter_fallback(g: Graph) -> TeamCandidate | None:
         u = max(sorted(common), key=lambda w: (gain[w], -w))
         clique.append(u)
         covered |= {u} | adjsets[u]
-    return TeamCandidate(g, frozenset(clique))
+    return frozenset(clique)
 
 
 def hicom(
@@ -363,15 +365,14 @@ def hicom(
         team = small_diameter_fallback(g)
         if team is None:
             raise NoFeasibleTeam("no l-HC team; graph diameter <= 2 and no dominating clique")
-        report = check_hc(g, team.members, Fraction(2))
+        report = check_hc(g, team, Fraction(2))
         if not report.is_hc:
             raise NoFeasibleTeam(
                 "no l-HC team; graph diameter <= 2 and the dominating clique "
                 "fails the team conditions",
-                candidate=team.members,
+                candidate=team,
             )
-        trace = (TraceStep("fallback", None, tuple(sorted(team.members))),)
-        return HicomResult.of(team, report, report, None, trace)
+        return HicomResult.of(report, report, None, (TraceStep("fallback", None, report.team),))
 
     d1 = bc_target(g, frac)
     if d1 >= prof.diameter:  # ceil(diam/l) >= 1 for any diameter >= 1
@@ -413,8 +414,8 @@ def _attempt(g: Graph, l: Fraction, d1: int, v: int) -> HicomResult:
 
     The ball and each extended team are measured once, by ``check_hc``; the
     report's induced diameter drives the extension, and the last report before
-    repair gives the construction metrics and the violators that call for
-    repair. Only a repaired team is checked again."""
+    repair gives the construction metrics and is where repair starts. Only a
+    repaired team is checked again."""
     x = d1 // 2
     levels, order = bfs(g.adj, (v,), g.n)
     shells = [sorted(shell) for _, shell in groupby(order, key=levels.__getitem__)]
@@ -441,7 +442,7 @@ def _attempt(g: Graph, l: Fraction, d1: int, v: int) -> HicomResult:
 
     report = built
     if built.violators:
-        repaired = repair(g, frozen, d1).members
+        repaired = repair(g, built)
         trace.extend(TraceStep("repair", None, (u,)) for u in sorted(frozen - repaired))
         frozen = repaired
         report = check_hc(g, frozen, l)
@@ -459,7 +460,7 @@ def _attempt(g: Graph, l: Fraction, d1: int, v: int) -> HicomResult:
             f"(k={report.domination_radius}, induced diameter {report.induced_diameter})",
             candidate=frozen,
         )
-    return HicomResult.of(TeamCandidate(g, frozen), report, built, v, trace)
+    return HicomResult.of(report, built, v, trace)
 
 
 def verify_k_bound(result: HicomResult, g: Graph) -> list[BoundCheck]:
@@ -537,11 +538,11 @@ def two_hc_feasibility(g: Graph) -> FeasibilityPrediction:
     )
 
 
-def extend_to_max(g: Graph, result: HicomResult | TeamCandidate, l) -> TeamCandidate:
-    """Greedy maximization: keep adding the lowest-index vertex whose
-    addition preserves all four HC conditions; stops at a fixpoint."""
+def extend_to_max(g: Graph, members: Iterable[int], l) -> frozenset[int]:
+    """Greedy maximization of a team: keep adding the lowest-index vertex
+    whose addition preserves all four HC conditions; stops at a fixpoint."""
     d1 = bc_target(g, l)
-    members = result.team.members if isinstance(result, HicomResult) else result.members
+    members = frozenset(members)
     while True:
         for u in range(g.n):
             if u not in members:
@@ -550,7 +551,7 @@ def extend_to_max(g: Graph, result: HicomResult | TeamCandidate, l) -> TeamCandi
                     members = members | {u}
                     break
         else:
-            return TeamCandidate(g, members)
+            return members
 
 
 @dataclass(frozen=True)

@@ -220,9 +220,9 @@ def ratio_experiment(corpus: Iterable[Graph], l, cap: int | None = None):
                 digest=digest,
                 n=g.n,
                 l=frac,
-                hicom_size=len(result.team.members),
+                hicom_size=len(result.team),
                 oracle_size=answer.optimum,
-                ratio=len(result.team.members) / answer.optimum,
+                ratio=len(result.team) / answer.optimum,
                 k_hicom=result.k,
                 k_oracle=answer.secondary_optimum,
                 log_max_degree=math.log(g.max_degree),

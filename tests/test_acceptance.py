@@ -97,7 +97,7 @@ def test_criterion_3_existence_at_three_halves(corpus_graphs, existence_runs):
     assert len(results) == len(corpus_graphs)
     for g, result in zip(corpus_graphs, results):
         # machine-check all four conditions independently of the run
-        report = check_hc(g, result.team.members, L32)
+        report = check_hc(g, result.team, L32)
         assert report.is_hc, f"verdict {report.verdict}"
         assert report.less_dispersive and report.is_connected
         assert report.induced_diameter <= report.bc_target
@@ -193,7 +193,7 @@ def test_criterion_9_feasibility_classifier(corpus_graphs):
         prediction = two_hc_feasibility(g)
         try:
             result = hicom(g, 2)
-            succeeded = check_hc(g, result.team.members, 2).is_hc
+            succeeded = check_hc(g, result.team, 2).is_hc
         except Exception:
             succeeded = False
         if prediction.predicted_feasible:

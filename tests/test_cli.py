@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from comfnet import cycle_graph, parse_edge_list, serialize_edge_list
+from comfnet import cycle_graph, parse_edge_list, path_graph, serialize_edge_list
 from comfnet.cli import main
 from conftest import P6_TEXT
 
@@ -221,6 +221,38 @@ def test_verify_team_in_second_component(capsys, tmp_path, team):
     assert code == 0
     assert report["team"] == ["v4", "v5", "v9"]
     assert report["verdict"] == "3/2-HC"
+
+
+#: A tree on which the team v1..v5 is comfortable at l = 2 and 3/2-HC at
+#: l = 3/2; a random corpus team rarely reaches 'comfortable'.
+COMFORTABLE_TREE = "8 7\n0 1\n0 2\n0 6\n1 3\n2 4\n3 5\n4 7\n"
+
+
+@pytest.mark.parametrize("graph, team, l, verdict, digest", [
+    (serialize_edge_list(cycle_graph(6)), "v1\nv2\nv3\nv4\n", "3/2", "none",
+     "39da863b81d92ee449e3b20ec2a2780577546b87"),
+    (serialize_edge_list(cycle_graph(6)), "v1\nv4\n", "3/2", "none",
+     "da38d2f2c697b058f37e8ade737787d9df0566d4"),
+    (COMFORTABLE_TREE, "v1\nv2\nv3\nv4\nv5\n", "2", "comfortable",
+     "bdf0edba35d63a6437492bf7e4fb7dfcb92565a5"),
+    (serialize_edge_list(path_graph(7)), "v4\n", "3/2", "3/2-BC",
+     "7492645fbe71552db784af091b47b726c55afde6"),
+    (serialize_edge_list(cycle_graph(6)), "v1\nv2\nv6\n", "3/2", "3/2-HC",
+     "6e40114ff58baf2dc331669a1bc9cb50af0a3106"),
+    (COMFORTABLE_TREE, "v1\nv2\nv3\nv4\nv5\n", "3/2", "3/2-HC",
+     "14d87e4a5ae192d86cb400a963cd2de19975f432"),
+], ids=["none-connected", "none-disconnected", "comfortable", "bc", "hc", "hc-tree"])
+def test_verify_bytes_for_every_verdict(capsys, tmp_path, graph, team, l, verdict, digest):
+    """The bytes of each verdict's report, flags included, pinned by sha1
+    digests taken while the report stored its flags."""
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text(graph)
+    team_file = tmp_path / "team.txt"
+    team_file.write_text(team)
+    code, out = run_cli(capsys, "verify", "--l", l, "--team", str(team_file), str(graph_file))
+    assert code == (2 if verdict == "none" else 0)
+    assert json.loads(out)["verdict"] == verdict
+    assert hashlib.sha1(out.encode()).hexdigest() == digest
 
 
 def test_verify_refuses_team_and_graph_both_on_stdin(capsys, monkeypatch):

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from comfnet import (
     Graph,
-    TeamCandidate,
     UNREACHABLE,
-    as_fraction,
     bc_target,
     check_bc,
     check_hc,
@@ -20,7 +18,7 @@ from comfnet import (
     is_less_dispersive,
     path_graph,
 )
-from comfnet.criteria import SubsetEvaluator
+from comfnet.criteria import SubsetEvaluator, parse_l
 
 
 @st.composite
@@ -34,21 +32,21 @@ def graph_and_team(draw, max_n=9):
     return g, members
 
 
-def test_as_fraction_exact():
-    assert as_fraction("3/2") == Fraction(3, 2)
-    assert as_fraction("1.6") == Fraction(8, 5)
-    assert as_fraction(1.6) == Fraction(8, 5)
-    assert as_fraction(2) == Fraction(2)
+def test_parse_l_exact():
+    assert parse_l("3/2") == Fraction(3, 2)
+    assert parse_l("1.6") == Fraction(8, 5)
+    assert parse_l(1.6) == Fraction(8, 5)
+    assert parse_l(2) == Fraction(2)
 
 
-def test_team_candidate_validation(c6):
-    team = TeamCandidate(c6, frozenset({5, 0, 1}))
-    assert list(team) == [0, 1, 5]
-    assert team.labels() == ["v1", "v2", "v6"]
-    with pytest.raises(ValueError):
-        TeamCandidate(c6, frozenset())
-    with pytest.raises(ValueError):
-        TeamCandidate(c6, frozenset({7}))
+def test_team_validation(c6):
+    report = check_hc(c6, frozenset({5, 0, 1}), Fraction(3, 2))
+    assert report.team == (0, 1, 5)
+    assert report.to_json_dict(c6.labels)["team"] == ["v1", "v2", "v6"]
+    with pytest.raises(ValueError, match="nonempty"):
+        check_hc(c6, frozenset(), Fraction(3, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        check_hc(c6, frozenset({7}), Fraction(3, 2))
 
 
 # --- domination ----------------------------------------------------------------

@@ -119,7 +119,7 @@ def test_a_team_check_stops_at_its_answer(seed, finishes, monkeypatch):
         perm = list(range(g.n))
         random.Random(seed).shuffle(perm)
         g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-    team = hicom(g, "3/2").team.members
+    team = hicom(g, "3/2").team
     for log in finishes.values():
         log.clear()
     searches = []

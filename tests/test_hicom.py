@@ -37,7 +37,7 @@ from comfnet import (
     verify_k_bound,
 )
 import comfnet.cli as cli
-from comfnet.corpus import cycles_corpus, gnp_corpus, trees_corpus
+from comfnet.corpus import cycles_corpus, gnp_corpus, standard_corpus, trees_corpus
 from comfnet.graphs import bfs
 
 DATA = Path(__file__).parent / "data"
@@ -52,7 +52,7 @@ def small_mixed_corpus():
 
 def test_c6_run(c6):
     result = hicom(c6, L32)
-    assert result.team.members == {5, 0, 1}
+    assert result.team == {5, 0, 1}
     assert result.start_vertex == 0
     assert result.d1 == 2
     assert result.achieved_diameter == 2
@@ -63,7 +63,7 @@ def test_c6_run(c6):
 
 def test_p7_run_is_pure_ball(p7):
     result = hicom(p7, L32)
-    assert result.team.members == {1, 2, 3, 4, 5}
+    assert result.team == {1, 2, 3, 4, 5}
     assert result.d1 == 4 and result.achieved_diameter == 4
     assert result.k == 1
     assert {step.op for step in result.trace} == {"ball"}
@@ -98,6 +98,32 @@ def test_construction_measures_each_grown_team_once(g, monkeypatch):
     assert len(set(measured)) == len(measured)
 
 
+def test_repairing_run_measures_its_grown_team_once(p6, monkeypatch):
+    measured = []
+    real = importlib.import_module("comfnet.criteria").induced_metrics
+
+    def counting(host, members):
+        measured.append(members)
+        return real(host, members)
+
+    for name in ("comfnet.criteria", "comfnet.hicom"):
+        monkeypatch.setattr(importlib.import_module(name), "induced_metrics", counting)
+    repaired = 0
+    for g in [p6, *standard_corpus()]:
+        measured.clear()
+        try:
+            result = hicom(g, L32)
+        except HicomError:
+            continue
+        if "repair" in {step.op for step in result.trace}:
+            # repair starts from the grown team's report, so only its
+            # check_hc measures it
+            grown = replay_trace(g, [step for step in result.trace if step.op != "repair"])
+            assert measured.count(grown) == 1
+            repaired += 1
+    assert repaired >= 200
+
+
 #: From its center v1 the ball reaches diameter 2 below d1 = 3; shell 2
 #: adds one vertex, shell 3 offers none within d1 and there is no shell 4.
 RARE_BRANCHES = "10 12\n0 1\n0 9\n1 3\n1 6\n1 7\n1 9\n2 4\n3 4\n3 9\n4 9\n5 7\n8 9\n"
@@ -111,7 +137,7 @@ def test_exhausted_and_unreached_shells(l, digest, capsys, tmp_path):
     g = parse_edge_list(RARE_BRANCHES)
     result = hicom(g, l)
     assert [step.op for step in result.trace] == ["ball", "ball", "extend", "exhausted", "unreached"]
-    assert result.team.labels() == ["v1", "v2", "v4", "v10"]
+    assert [g.labels[v] for v in sorted(result.team)] == ["v1", "v2", "v4", "v10"]
     path = tmp_path / "rare.txt"
     path.write_text(RARE_BRANCHES)
     assert cli.run(["hicom", "--l", l, str(path)]) == 0
@@ -122,7 +148,7 @@ def test_exhausted_and_unreached_shells(l, digest, capsys, tmp_path):
 def test_trace_replay(c6, p7):
     for g in (c6, p7, cycle_graph(9), path_graph(6)):
         result = hicom(g, L32)
-        assert replay_trace(g, result.trace) == result.team.members
+        assert replay_trace(g, result.trace) == result.team
 
 
 def test_determinism(c6):
@@ -134,7 +160,7 @@ def test_determinism(c6):
 def test_start_override(c6):
     result = hicom(c6, L32, start=1)
     assert result.start_vertex == 1
-    assert result.team.members == {0, 1, 2}
+    assert result.team == {0, 1, 2}
     assert result.report.verdict == "3/2-HC"
 
 
@@ -166,7 +192,7 @@ def test_l_validation(c6, p6):
         lambda l: exact_max_team(c8, l),
         lambda l: ratio_experiment([c8], l),
         lambda l: bound_sweep([c8], l),
-        lambda l: extend_to_max(c6, hicom(c6, L32), l),
+        lambda l: extend_to_max(c6, hicom(c6, L32).team, l),
         lambda l: self_centered_direct_substitution(5, l),
     )
     for call in entry_points:
@@ -210,13 +236,15 @@ def test_large_l_with_flag():
 # --- repair --------------------------------------------------------------------
 
 def test_repair_whole_path_fixture(p6):
-    team = repair(p6, frozenset(range(6)), 5)
-    assert team.members == {1, 2, 3, 4}
+    built = check_hc(p6, range(6), Fraction(6, 5))
+    assert built.bc_target == 5
+    assert repair(p6, built) == {1, 2, 3, 4}
 
 
 def test_repair_identity_when_already_less_dispersive(p6):
-    team = repair(p6, frozenset({1, 2, 3, 4}), 4)
-    assert team.members == {1, 2, 3, 4}
+    built = check_hc(p6, {1, 2, 3, 4}, Fraction(5, 4))
+    assert built.bc_target == 4
+    assert repair(p6, built) == {1, 2, 3, 4}
 
 
 def test_repair_failure_attaches_candidate():
@@ -224,21 +252,23 @@ def test_repair_failure_attaches_candidate():
     prof = eccentricity_profile(g)
     row = bfs(g.adj, (prof.center[0],), g.n)[0]
     ball = frozenset(u for u in range(g.n) if row[u] <= 1)
+    built = check_hc(g, ball, L32)
+    assert built.bc_target == 2
     with pytest.raises(RepairFailed) as exc:
-        repair(g, ball, 2)
+        repair(g, built)
     assert exc.value.candidate
 
 
 def test_repair_of_a_one_vertex_graph_fails():
     # the lone vertex keeps its eccentricity 0, and no removal leaves a team
     with pytest.raises(RepairFailed):
-        repair(Graph(1), {0}, 1)
+        repair(Graph(1), check_hc(Graph(1), {0}, 2))
 
 
 def test_repair_runs_shrink_but_stay_valid(p6):
     result = hicom(p6, L32)
     # the even-path run sheds an endpoint and lands on the interior path
-    assert result.team.members == {1, 2, 3, 4}
+    assert result.team == {1, 2, 3, 4}
     assert any(step.op == "repair" for step in result.trace)
     assert result.achieved_diameter <= result.d1
     assert result.construction_diameter == result.d1
@@ -249,7 +279,7 @@ def test_repair_runs_shrink_but_stay_valid(p6):
 def test_fallback_k4_minus_edge(k4_minus_edge):
     team = small_diameter_fallback(k4_minus_edge)
     assert team is not None
-    members = tuple(sorted(team.members))
+    members = tuple(sorted(team))
     assert is_dominating(k4_minus_edge, members, 1)
     for u in members:
         for v in members:
@@ -272,7 +302,7 @@ def test_fallback_c5_has_no_dominating_clique():
 
 
 def test_fallback_complete_graph_single_vertex():
-    assert small_diameter_fallback(complete_graph(5)).members == {0}
+    assert small_diameter_fallback(complete_graph(5)) == {0}
 
 
 def test_fallback_greedy_finds_no_dominating_clique():
@@ -292,7 +322,7 @@ def test_fallback_rejects_large_diameter(p6):
 def test_hicom_c4_fallback_team():
     result = hicom(cycle_graph(4), L32)
     assert result.report.verdict == "2-HC"
-    assert result.team.members == {0, 1}
+    assert result.team == {0, 1}
     assert result.trace[0].op == "fallback"
 
 
@@ -303,7 +333,7 @@ def test_hicom_complete_graph_infeasible():
 
 def test_hicom_star_routes_to_fallback_and_fails():
     star = star_graph(6)
-    assert small_diameter_fallback(star).members == {0}
+    assert small_diameter_fallback(star) == {0}
     with pytest.raises(NoFeasibleTeam):
         hicom(star, L32)
 
@@ -410,30 +440,28 @@ def test_prediction_json_keys(p7):
 
 def test_extend_to_max_c6_stays_put(c6):
     result = hicom(c6, L32)
-    assert extend_to_max(c6, result, L32).members == result.team.members
+    assert extend_to_max(c6, result.team, L32) == result.team
 
 
 def test_extend_to_max_p7_stays_put(p7):
     result = hicom(p7, L32)
-    assert extend_to_max(p7, result, L32).members == {1, 2, 3, 4, 5}
+    assert extend_to_max(p7, result.team, L32) == {1, 2, 3, 4, 5}
 
 
 def test_extend_to_max_accepts_bare_team(p6):
-    from comfnet import TeamCandidate
-
     # seed maximization from a deliberately small valid team
-    seed = TeamCandidate(p6, frozenset({2, 3}))
+    seed = frozenset({2, 3})
     grown = extend_to_max(p6, seed, L32)
-    assert grown.members > seed.members
-    assert check_hc(p6, grown.members, L32).is_hc
+    assert grown > seed
+    assert check_hc(p6, grown, L32).is_hc
 
 
 def test_extend_to_max_property_on_corpus():
     for g in trees_corpus(max_n=7) + cycles_corpus(7, 10):
         result = hicom(g, L32)
-        grown = extend_to_max(g, result, L32)
-        assert len(grown.members) >= len(result.team.members)
-        assert check_hc(g, grown.members, L32).is_hc
+        grown = extend_to_max(g, result.team, L32)
+        assert len(grown) >= len(result.team)
+        assert check_hc(g, grown, L32).is_hc
 
 
 # --- direct substitution table ------------------------------------------------------
@@ -444,7 +472,7 @@ def test_direct_substitution_row():
 
 
 def test_hicom_result_json(c6):
-    payload = hicom(c6, L32).to_json_dict()
+    payload = hicom(c6, L32).to_json_dict(c6.labels)
     assert payload["team"] == ["v1", "v2", "v6"]
     assert payload["l"] == "3/2"
     assert payload["d1"] == 2 and payload["k"] == 2

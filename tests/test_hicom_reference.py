@@ -143,7 +143,7 @@ def dense_graphs(draw, max_n=20):
 
 def fallback_members(g):
     team = small_diameter_fallback(g)
-    return None if team is None else tuple(sorted(team.members))
+    return None if team is None else tuple(sorted(team))
 
 
 @given(dense_graphs())

@@ -73,7 +73,7 @@ def test_hicom_on_a_relabelled_host_returns_a_checked_team_or_raises(case, l):
             result = hicom(host, l)
         except HicomError:
             continue
-        report = check_hc(host, result.team.members, result.l)
+        report = check_hc(host, result.team, result.l)
         assert report.is_hc
         assert report == result.report
 

@@ -116,8 +116,8 @@ def test_max_bounds_min_everywhere():
         high = exact_max_team(g, L32)
         assert low.optimum is not None
         assert high.optimum >= low.optimum
-        grown = extend_to_max(g, hicom(g, L32), L32)
-        assert len(grown.members) <= high.optimum
+        grown = extend_to_max(g, hicom(g, L32).team, L32)
+        assert len(grown) <= high.optimum
 
 
 # --- connected dominating sets -----------------------------------------------------
