@@ -20,7 +20,7 @@ print("\nPer-vertex eccentricities:", profile.eccentricity)
 print(f"radius {profile.radius}, diameter {profile.diameter}, "
       f"center {[p6.labels[v] for v in profile.center]}, class {profile.class_label}")
 
-print("\nAll-pairs hop distances, computed on request (the graph caches only its profile):")
+print("\nAll-pairs hop distances, computed on request (a graph caches only its connectivity and profile):")
 distances = all_pairs_distances(p6)
 for row in distances:
     print(" ", *row)
@@ -30,9 +30,9 @@ for j in range(profile.eccentricity[2] + 1):
     print(f"  distance {j}: {[p6.labels[v] for v in range(p6.n) if distances[2][v] == j]}")
 
 print("\nThe subgraph induced by the interior vertices is a shorter path:")
-sub, hosts, _ = induced_subgraph(p6, {1, 2, 3, 4})
+sub = induced_subgraph(p6, {1, 2, 3, 4})
 inner = eccentricity_profile(sub)
-print(f"  vertices {[p6.labels[v] for v in hosts]}, diameter {inner.diameter} "
+print(f"  vertices {list(sub.labels)}, diameter {inner.diameter} "
       f"(was {profile.diameter})")
 
 print("\nSquaring the path adds every distance-2 chord:")

@@ -13,7 +13,6 @@ from .criteria import (
     check_hc,
     domination_radius,
     is_comfortable,
-    is_dominating,
     is_less_dispersive,
 )
 from .generators import (

@@ -84,7 +84,10 @@ def _emit_error(code: str, message: str, exit_code: int) -> int:
 
 
 def _read_text(path: str) -> str:
-    return sys.stdin.read() if path == "-" else Path(path).read_text()
+    """The text of a file, or of stdin for '-', without a leading
+    byte-order mark."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def _load_graph(path: str) -> Graph:
@@ -128,7 +131,7 @@ def _components(g: Graph, solve):
     """``{"vertices": labels, **solve(sub)}`` per component ``sub`` of ``g``,
     in order; each is built and solved only when its turn comes."""
     whole = g.is_connected()
-    for sub in [g] if whole else (induced_subgraph(g, p).graph for p in iter_components(g)):
+    for sub in [g] if whole else (induced_subgraph(g, p) for p in iter_components(g)):
         yield {"vertices": list(sub.labels), **solve(sub)}
 
 
@@ -199,8 +202,9 @@ def cmd_verify(args, l: Fraction | None) -> int:
             return _emit_error(
                 "infeasible", "team spans multiple components", EXIT_INFEASIBLE
             )
-        g, _, host_index = induced_subgraph(g, part)
-        members = frozenset(host_index[v] for v in members)
+        index = {v: i for i, v in enumerate(sorted(part))}  # the component's numbering
+        g = induced_subgraph(g, part)
+        members = frozenset(index[v] for v in members)
     report = check_hc(g, members, l)
     _emit(report.to_json_dict(g.labels))
     return EXIT_OK if report.verdict != "none" else EXIT_INFEASIBLE

@@ -115,7 +115,10 @@ def parse_corpus_spec(spec: str) -> list[Graph]:
                 key = key.strip()
                 if key not in options:
                     raise ValueError(f"unknown gnp option {key!r} in {part!r}")
-                options[key] = float(value) if key == "p" else int(value)
+                try:
+                    options[key] = float(value) if key == "p" else int(value)
+                except ValueError:
+                    raise ValueError(f"bad gnp option value {item!r} in {part!r}") from None
             graphs.extend(
                 connected_gnp(options["n"], options["p"], seed=options["seed"] + i)
                 for i in range(options["count"])

@@ -433,13 +433,6 @@ def domination_radius(g: Graph, members: Iterable[int]) -> int:
     return levels[order[-1]]
 
 
-def is_dominating(g: Graph, members: Iterable[int], k: int) -> bool:
-    """True when the team k-distance dominates the rest of the graph."""
-    if k < 1:
-        raise ValueError(f"domination distance must be >= 1, got {k}")
-    return domination_radius(g, members) <= k
-
-
 def is_less_dispersive(g: Graph, members: Iterable[int]) -> tuple[bool, tuple[int, ...]]:
     """Strict per-member eccentricity drop inside the team.
 

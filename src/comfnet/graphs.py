@@ -5,10 +5,11 @@ by default) live in a sidecar tuple on the graph and never enter the
 algorithms. Every hop count comes from one breadth-first kernel, ``bfs``,
 run from the sources a caller needs; ``eccentricities`` is the one
 all-sources computation, for the host and inside a team alike. Each graph
-caches one derived thing, its eccentricity profile; ``UNREACHABLE`` marks
-pairs in different components and is strictly larger than any real hop
-count, so max/min aggregations stay well defined on disconnected vertex
-sets. Distances come back as plain lists of ints.
+caches two derived things, whether it is connected and its eccentricity
+profile; ``UNREACHABLE`` marks pairs in different components and is
+strictly larger than any real hop count, so max/min aggregations stay well
+defined on disconnected vertex sets. Distances come back as plain lists of
+ints.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from operator import or_
-from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 try:  # the builtin module: hashlib would load OpenSSL, about 3.5 MB of RSS
     from _sha1 import sha1 as _sha1
@@ -53,9 +54,9 @@ class Graph:
     """Simple undirected graph on vertices ``0 .. n-1``.
 
     Instances are immutable after construction and safe to share across
-    threads. The eccentricity profile is computed lazily and cached;
-    recomputation is deterministic, so a benign double-compute under
-    concurrency cannot change the result.
+    threads. Connectivity and the eccentricity profile are computed lazily
+    and cached; recomputation is deterministic, so a benign double-compute
+    under concurrency cannot change the result.
     """
 
     __slots__ = ("n", "m", "adj", "labels", "_profile", "_connected")
@@ -113,20 +114,11 @@ class Graph:
     def max_degree(self) -> int:
         return max(len(nbrs) for nbrs in self.adj)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self.adj[u]
-
     def is_connected(self) -> bool:
         if self._connected is None:
             _, reached = bfs(self.adj, (0,), self.n)
             self._connected = len(reached) == self.n
         return self._connected
-
-    def vertex_for_label(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown vertex label {label!r}") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -135,14 +127,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-class Induced(NamedTuple):
-    """An induced subgraph together with its bidirectional index map."""
-
-    graph: Graph
-    host_vertices: tuple[int, ...]  # new index -> host vertex
-    host_index: dict[int, int]      # host vertex -> new index
 
 
 @dataclass(frozen=True)
@@ -385,8 +369,9 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
     return g._profile
 
 
-def induced_subgraph(g: Graph, members: Iterable[int]) -> Induced:
-    """Subgraph induced by ``members`` with the host/sub index maps.
+def induced_subgraph(g: Graph, members: Iterable[int]) -> Graph:
+    """Subgraph induced by ``members``, its vertices numbered in ascending
+    host order and labelled as in the host.
 
     Built from the members' own rows, in time linear in them and their
     degrees. The induced graph computes its own eccentricity profile:
@@ -397,9 +382,7 @@ def induced_subgraph(g: Graph, members: Iterable[int]) -> Induced:
         raise ValueError("induced subgraph needs a nonempty vertex set")
     if vertices[0] < 0 or vertices[-1] >= g.n:
         raise ValueError(f"vertex set out of range for n={g.n}")
-    host_index, adj = induced_rows(g, vertices)
-    sub = Graph._of_lists(adj, labels=[g.labels[v] for v in vertices])
-    return Induced(sub, tuple(vertices), host_index)
+    return Graph._of_lists(induced_rows(g, vertices)[1], labels=[g.labels[v] for v in vertices])
 
 
 def induced_rows(g: Graph, vertices: Sequence[int]) -> tuple[dict[int, int], list[list[int]]]:

@@ -325,17 +325,14 @@ def small_diameter_fallback(g: Graph) -> frozenset[int] | None:
     start = max(range(g.n), key=lambda v: (len(adjsets[v]), -v))
     clique = [start]
     covered = {start} | adjsets[start]
+    common = set(adjsets[start])  # no vertex neighbours itself, so no member stays in it
     while len(covered) < g.n:
-        common = set(range(g.n))
-        for v in clique:
-            common &= adjsets[v]
-        common -= set(clique)
         if not common:
             return None
-        gain = {u: len(adjsets[u] - covered) for u in common}
-        u = max(sorted(common), key=lambda w: (gain[w], -w))
+        u = max(common, key=lambda w: (len(adjsets[w] - covered), -w))
         clique.append(u)
         covered |= {u} | adjsets[u]
+        common &= adjsets[u]
     return frozenset(clique)
 
 

@@ -185,10 +185,7 @@ def reduction_witness(
 
     # unreached vertices sit at UNREACHABLE > k, so a disconnected host reads False
     k_dominates = max(bfs(g.adj, subset, g.n)[0]) <= k
-    outside = [u for u in range(g.n) if u not in subset]
-
-    adjsets = [set(nbrs) for nbrs in power.adj]
-    power_dominates = all(adjsets[u] & subset for u in outside)
+    power_dominates = all(u in subset or not subset.isdisjoint(power.adj[u]) for u in range(g.n))
 
     return (k_dominates and power_connected, power_dominates and power_connected)
 

@@ -380,6 +380,43 @@ def test_parse_error_names_line(capsys, tmp_path):
     assert "line 2" in payload["error"]["message"]
 
 
+BOM_GRAPH = "3 2\r\n0 1\r\n1 2\r\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_byte_order_mark_before_the_graph_is_dropped(capsys, monkeypatch, tmp_path, source):
+    outputs = []
+    for text in (BOM_GRAPH, "\ufeff" + BOM_GRAPH):
+        if source == "file":
+            path = tmp_path / "graph.txt"
+            path.write_bytes(text.encode("utf-8"))
+            outputs.append(run_cli(capsys, "analyze", str(path)))
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            outputs.append(run_cli(capsys, "analyze"))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
+def test_a_byte_order_mark_before_the_team_is_dropped(capsys, c6_file, tmp_path):
+    outputs = []
+    for text in ("v1\nv2\nv6\n", "\ufeffv1\nv2\nv6\n"):
+        team_file = tmp_path / "team.txt"
+        team_file.write_bytes(text.encode("utf-8"))
+        outputs.append(run_cli(capsys, "verify", "--team", str(team_file), c6_file))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("spec, item", [("gnp:p=abc", "p=abc"), ("gnp:count", "count")])
+def test_a_bad_gnp_corpus_value_names_its_part(capsys, spec, item):
+    code, payload = run_json(capsys, "oracle", "bounds", "--corpus", spec)
+    assert code == 1
+    assert payload["error"]["code"] == "usage"
+    assert repr(item) in payload["error"]["message"]
+    assert repr(spec) in payload["error"]["message"]
+
+
 def test_unknown_command_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["explode"])

@@ -14,7 +14,6 @@ from comfnet import (
     connected_gnp,
     domination_radius,
     is_comfortable,
-    is_dominating,
     is_less_dispersive,
     path_graph,
 )
@@ -58,11 +57,9 @@ def test_domination_radius_examples(p6, c6):
 
 
 def test_is_dominating_examples(p6, c6):
-    assert not is_dominating(c6, {0, 1, 2}, 1)
-    assert is_dominating(c6, {0, 1, 2}, 2)
-    assert is_dominating(p6, {2}, 3)
-    with pytest.raises(ValueError):
-        is_dominating(p6, {2}, 0)
+    assert domination_radius(c6, {0, 1, 2}) > 1
+    assert domination_radius(c6, {0, 1, 2}) <= 2
+    assert domination_radius(p6, {2}) <= 3
 
 
 @given(graph_and_team())

@@ -17,14 +17,15 @@ from comfnet import (
     bound_sweep,
     check_hc,
     complete_graph,
+    connected_gnp,
     cycle_graph,
+    domination_radius,
     eccentricity_profile,
     exact_max_team,
     exact_min_team,
     extend_to_max,
     gnp,
     hicom,
-    is_dominating,
     parse_edge_list,
     path_graph,
     ratio_experiment,
@@ -280,10 +281,10 @@ def test_fallback_k4_minus_edge(k4_minus_edge):
     team = small_diameter_fallback(k4_minus_edge)
     assert team is not None
     members = tuple(sorted(team))
-    assert is_dominating(k4_minus_edge, members, 1)
+    assert domination_radius(k4_minus_edge, members) <= 1
     for u in members:
         for v in members:
-            assert u == v or k4_minus_edge.has_edge(u, v)
+            assert u == v or v in k4_minus_edge.adj[u]
 
 
 def test_fallback_c5_has_no_dominating_clique():
@@ -295,10 +296,10 @@ def test_fallback_c5_has_no_dominating_clique():
     for size in range(1, 6):
         for subset in combinations(range(5), size):
             is_clique = all(
-                c5.has_edge(u, v) for u in subset for v in subset if u < v
+                v in c5.adj[u] for u in subset for v in subset if u < v
             )
             if is_clique:
-                assert not is_dominating(c5, subset, 1)
+                assert domination_radius(c5, subset) > 1
 
 
 def test_fallback_complete_graph_single_vertex():
@@ -312,6 +313,44 @@ def test_fallback_greedy_finds_no_dominating_clique():
     assert small_diameter_fallback(g) is None
     with pytest.raises(NoFeasibleTeam):
         hicom(g, L32)
+
+
+def reference_greedy_clique(g):
+    """The greedy dominating-clique loop as first written: each round builds
+    the common neighbourhood from scratch and sorts it before the max."""
+    adjsets = [set(nbrs) for nbrs in g.adj]
+    start = max(range(g.n), key=lambda v: (len(adjsets[v]), -v))
+    clique = [start]
+    covered = {start} | adjsets[start]
+    while len(covered) < g.n:
+        common = set(range(g.n))
+        for v in clique:
+            common &= adjsets[v]
+        common -= set(clique)
+        if not common:
+            return None
+        gain = {u: len(adjsets[u] - covered) for u in common}
+        u = max(sorted(common), key=lambda w: (gain[w], -w))
+        clique.append(u)
+        covered |= {u} | adjsets[u]
+    return frozenset(clique)
+
+
+def test_fallback_greedy_matches_the_reference_loop():
+    """n > 20 takes the greedy search; seeded dense G(n, p) of diameter
+    <= 2 with 21-60 vertices, with and without a dominating clique."""
+    outcomes = []
+    seed = 0
+    while len(outcomes) < 120:
+        seed += 1
+        n = 21 + seed % 40
+        g = connected_gnp(n, 0.35 + (seed % 7) * 0.05, seed=seed)
+        if eccentricity_profile(g).diameter > 2:
+            continue
+        expected = reference_greedy_clique(g)
+        assert small_diameter_fallback(g) == expected, seed
+        outcomes.append(expected is not None)
+    assert 10 <= sum(outcomes) <= len(outcomes) - 10
 
 
 def test_fallback_rejects_large_diameter(p6):
